@@ -68,7 +68,7 @@ fn main() {
     let pipe = PipelineConfig::eole_4_60();
     let pred = PredictorKind::BlockDVtage(configs::medium());
     bench("eole_bebop_medium_dyn", uops, || {
-        let mut boxed = pred.build_dyn();
+        let mut boxed: Box<dyn bebop_uarch::ValuePredictor> = Box::new(pred.build());
         let stats = bebop_uarch::Pipeline::new(pipe.clone()).run(
             bebop_trace::TraceGenerator::new(&spec),
             &mut *boxed,

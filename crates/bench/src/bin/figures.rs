@@ -5,7 +5,6 @@
 //! cargo run -p bebop-bench --release --bin figures -- --fig8 --uops 1000000
 //! cargo run -p bebop-bench --release --bin figures -- --all --json BENCH_figures.json
 //! cargo run -p bebop-bench --release --bin figures -- --all --trace-cache-mb 64
-//! cargo run -p bebop-bench --release --bin figures -- --all --trace-dir .trace-store
 //! cargo run -p bebop-bench --release --bin figures -- --wrong-path --subset
 //! cargo run -p bebop-bench --release --bin figures -- --mix --subset
 //! cargo run -p bebop-bench --release --bin figures -- --sample --subset
@@ -17,14 +16,10 @@
 //! the `[min, max]` box plus geometric mean.
 //!
 //! Every workload's µ-op stream is recorded into a shared trace buffer once up
-//! front (~6–7 MiB per 200K-µop trace; `--trace-cache-mb` caps the total,
-//! `--no-trace-cache` streams everything), and every (config, workload)
+//! front (~8 MiB per 200K-µop trace; `--trace-cache-mb` caps the total, and
+//! `--trace-cache-mb 0` streams everything), and every (config, workload)
 //! simulation replays the shared recording — so a config sweep pays trace
-//! generation once, not once per configuration. With `--trace-dir <path>` the
-//! recordings are additionally persisted to a versioned, checksummed on-disk
-//! store, so a *second* invocation (or a CI job restoring the directory from a
-//! cache) loads every trace from disk and generates zero µ-ops;
-//! `--trace-dir-mb` bounds the directory with an LRU eviction sweep. Simulations are fanned out
+//! generation once, not once per configuration. Simulations are fanned out
 //! across all cores by default; `--serial` forces one thread (the figure output
 //! is bit-identical either way), and `--json <path>` writes per-experiment
 //! wall-clock and µops/sec so perf regressions are visible across commits (the
@@ -58,10 +53,10 @@
 //! `--sweep <dir>` runs the crash-safe resumable predictor-geometry sweep
 //! (see `bebop_bench::sweep`): the grid expands into content-addressed jobs,
 //! every completed cell is journaled incrementally into `<dir>`, and a killed
-//! run continues with `--resume` re-simulating only in-flight cells. The
-//! `--fault-*` flags attach a deterministic fault-injection plan (store I/O
-//! errors, short reads, corruption, per-job panics) for robustness testing;
-//! sweep cell counts land in the `--json` report as `sweep_cells_*`.
+//! run continues with `--resume` re-simulating only in-flight cells.
+//! `--fault-panic-job` / `--fault-stall-job` poison chosen jobs for
+//! robustness testing; sweep cell counts land in the `--json` report as
+//! `sweep_cells_*`.
 
 #![forbid(unsafe_code)]
 
@@ -77,8 +72,6 @@ struct Options {
     json: Option<String>,
     threads: usize,
     trace_cache: TraceCachePolicy,
-    trace_dir: Option<String>,
-    trace_dir_mb: Option<u64>,
     sample_slice_uops: Option<u64>,
     sample_phases: Option<usize>,
     sample_warmup: Option<u64>,
@@ -87,14 +80,54 @@ struct Options {
     sweep_cells: Option<usize>,
     cell_timeout_ms: Option<u64>,
     checkpoint_every: u64,
-    fault_seed: Option<u64>,
-    fault_read: u64,
-    fault_write: u64,
-    fault_short: u64,
-    fault_corrupt: u64,
     fault_panic_jobs: Vec<u64>,
     fault_stall_jobs: Vec<u64>,
 }
+
+/// The experiments `figures` can run, by name (`fig8` or `--fig8`).
+const KNOWN: [&str; 15] = [
+    "all",
+    "table1",
+    "table2",
+    "table3",
+    "fig5a",
+    "fig5b",
+    "fig6a",
+    "fig6b",
+    "strides",
+    "fig7a",
+    "fig7b",
+    "fig8",
+    "wrongpath",
+    "mix",
+    "sample",
+];
+
+/// The `--help` text.
+const USAGE: &str = "\
+usage: figures [EXPERIMENT...] [FLAGS]
+
+experiments (default --all): all table1 table2 table3 fig5a fig5b fig6a fig6b
+  strides fig7a fig7b fig8, plus the opt-in --wrong-path, --mix and --sample
+
+flags:
+  --uops N                   µ-ops simulated per run (default 200000)
+  --subset                   6 representative benchmarks instead of 36
+  --serial | --threads N     worker threads (default: all cores)
+  --json PATH                write the per-experiment perf report
+  --trace-cache-mb N         cap the in-memory trace recordings (0 streams everything)
+  --sample-slice-uops N      phase-sampling slice length (needs --sample)
+  --sample-phases K          maximum phases per benchmark (needs --sample)
+  --sample-warmup N          detailed warm-up per slice (needs --sample)
+  --sweep DIR                run the resumable predictor-geometry sweep in DIR
+  --resume                   continue the sweep already in DIR
+  --sweep-cells N            stop after N newly executed cells
+  --cell-timeout MS          watchdog budget of a sweep cell
+  --checkpoint-every N       snapshot each sweep cell every N committed µ-ops
+  --fault-panic-job J        make sweep job J panic (repeatable)
+  --fault-stall-job J        make sweep job J stall (repeatable; needs --cell-timeout)
+  -h, --help                 print this help
+";
 
 /// Exits with a usage error (a bad flag is the caller's mistake, not a crash).
 fn fail(msg: &str) -> ! {
@@ -122,8 +155,6 @@ fn parse_args() -> Options {
         json: None,
         threads: 0,
         trace_cache: TraceCachePolicy::default(),
-        trace_dir: None,
-        trace_dir_mb: None,
         sample_slice_uops: None,
         sample_phases: None,
         sample_warmup: None,
@@ -132,11 +163,6 @@ fn parse_args() -> Options {
         sweep_cells: None,
         cell_timeout_ms: None,
         checkpoint_every: 0,
-        fault_seed: None,
-        fault_read: 0,
-        fault_write: 0,
-        fault_short: 0,
-        fault_corrupt: 0,
         fault_panic_jobs: Vec::new(),
         fault_stall_jobs: Vec::new(),
     };
@@ -148,11 +174,6 @@ fn parse_args() -> Options {
             "--threads" => opts.threads = arg_value(&mut args, "--threads", "a number"),
             "--serial" => opts.threads = 1,
             "--subset" => opts.subset = true,
-            "--no-trace-cache" => opts.trace_cache = TraceCachePolicy::disabled(),
-            "--trace-dir" => opts.trace_dir = Some(arg_value(&mut args, "--trace-dir", "a path")),
-            "--trace-dir-mb" => {
-                opts.trace_dir_mb = Some(arg_value(&mut args, "--trace-dir-mb", "a number of MiB"));
-            }
             "--trace-cache-mb" => {
                 let mb = arg_value(&mut args, "--trace-cache-mb", "a number of MiB");
                 opts.trace_cache = TraceCachePolicy::capped_mb(mb);
@@ -175,23 +196,6 @@ fn parse_args() -> Options {
                     "--checkpoint-every",
                     "an interval in committed µ-ops",
                 );
-            }
-            "--fault-seed" => {
-                opts.fault_seed = Some(arg_value(&mut args, "--fault-seed", "a seed"));
-            }
-            "--fault-read-1in" => {
-                opts.fault_read = arg_value(&mut args, "--fault-read-1in", "a rate denominator");
-            }
-            "--fault-write-1in" => {
-                opts.fault_write = arg_value(&mut args, "--fault-write-1in", "a rate denominator");
-            }
-            "--fault-short-read-1in" => {
-                opts.fault_short =
-                    arg_value(&mut args, "--fault-short-read-1in", "a rate denominator");
-            }
-            "--fault-corrupt-1in" => {
-                opts.fault_corrupt =
-                    arg_value(&mut args, "--fault-corrupt-1in", "a rate denominator");
             }
             "--fault-panic-job" => {
                 opts.fault_panic_jobs.push(arg_value(
@@ -228,7 +232,20 @@ fn parse_args() -> Options {
             "--wrong-path" => opts.which.push("wrongpath".to_string()),
             "--mix" => opts.which.push("mix".to_string()),
             "--sample" => opts.which.push("sample".to_string()),
-            other => opts.which.push(other.trim_start_matches("--").to_string()),
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                std::process::exit(0);
+            }
+            flag if flag.starts_with("--") => {
+                // `--fig8` selects an experiment like `fig8` does; any other
+                // `--` argument is a flag this binary does not have.
+                let name = &flag[2..];
+                if !KNOWN.contains(&name) {
+                    fail(&format!("unknown flag '{flag}' (see --help)"));
+                }
+                opts.which.push(name.to_string());
+            }
+            other => opts.which.push(other.to_string()),
         }
     }
     // A bare `--sweep <dir>` invocation runs only the sweep; the classic
@@ -236,23 +253,6 @@ fn parse_args() -> Options {
     if opts.which.is_empty() && opts.sweep_dir.is_none() {
         opts.which.push("all".to_string());
     }
-    const KNOWN: [&str; 15] = [
-        "all",
-        "table1",
-        "table2",
-        "table3",
-        "fig5a",
-        "fig5b",
-        "fig6a",
-        "fig6b",
-        "strides",
-        "fig7a",
-        "fig7b",
-        "fig8",
-        "wrongpath",
-        "mix",
-        "sample",
-    ];
     for w in &opts.which {
         if !KNOWN.contains(&w.as_str()) {
             fail(&format!(
@@ -260,9 +260,6 @@ fn parse_args() -> Options {
                 KNOWN.join(", ")
             ));
         }
-    }
-    if opts.trace_dir_mb.is_some() && opts.trace_dir.is_none() {
-        fail("--trace-dir-mb bounds the on-disk store: it requires --trace-dir");
     }
     if opts.sweep_dir.is_none() {
         if opts.resume {
@@ -289,9 +286,6 @@ fn parse_args() -> Options {
         if opts.sample_warmup.is_some() {
             fail("--sample-warmup tunes the sampling geometry: it requires --sample");
         }
-    } else if !opts.trace_cache.enabled {
-        // Slice replay needs a materialised recording to index into.
-        fail("--sample replays slices of a recorded trace: it cannot run with --no-trace-cache");
     }
     if opts.sample_phases == Some(0) {
         fail("--sample-phases needs at least one phase");
@@ -303,17 +297,6 @@ fn parse_args() -> Options {
         // A stalled cell only exits through the watchdog's cancellation; a
         // stall without a watchdog is a deliberate hang, not a test.
         fail("--fault-stall-job stalls a cell until the watchdog cancels it: it requires --cell-timeout");
-    }
-    let has_fault_flags = opts.fault_read != 0
-        || opts.fault_write != 0
-        || opts.fault_short != 0
-        || opts.fault_corrupt != 0
-        || !opts.fault_panic_jobs.is_empty()
-        || !opts.fault_stall_jobs.is_empty();
-    if has_fault_flags && opts.fault_seed.is_none() {
-        // Panic-job injection is positional and needs no randomness, but one
-        // explicit seed for the whole plan keeps every faulty run replayable.
-        fail("fault injection is deterministic: the --fault-* flags require --fault-seed");
     }
     opts
 }
@@ -420,7 +403,6 @@ fn write_json(
     opts: &Options,
     benchmarks: usize,
     set: &TraceSet,
-    store: Option<&bebop_bench::TraceStore>,
     wp: &WrongPathAgg,
     mix: &MixAgg,
     sampled: &SampledAgg,
@@ -437,16 +419,6 @@ fn write_json(
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!("  \"uops_per_run\": {},\n", opts.uops));
     out.push_str(&format!("  \"benchmarks\": {benchmarks},\n"));
-    // Trace-store traffic (zero without --trace-dir): cache regressions show
-    // up as a hit-rate drop here before they show up as wall-clock.
-    out.push_str(&format!(
-        "  \"trace_store_hits\": {},\n",
-        store.map_or(0, |s| s.hits())
-    ));
-    out.push_str(&format!(
-        "  \"trace_store_misses\": {},\n",
-        store.map_or(0, |s| s.misses())
-    ));
     out.push_str(&format!(
         "  \"trace_generated_uops\": {},\n",
         set.generated_uops()
@@ -560,25 +532,9 @@ fn main() {
         "table2", "fig5a", "fig5b", "fig6a", "fig6b", "strides", "fig7a", "fig7b", "fig8",
     ];
     let needs_traces = SIMULATING.iter().any(|e| wants(&opts, e));
-    let store = opts.trace_dir.as_ref().map(|dir| {
-        let mut st = bebop_bench::TraceStore::open(dir).unwrap_or_else(|e| {
-            eprintln!("[figures] --trace-dir {dir}: cannot open trace store: {e}");
-            std::process::exit(1);
-        });
-        if let Some(seed) = opts.fault_seed {
-            st.set_faults(
-                FaultPlan::seeded(seed)
-                    .with_read_errors(opts.fault_read)
-                    .with_write_errors(opts.fault_write)
-                    .with_short_reads(opts.fault_short)
-                    .with_corruption(opts.fault_corrupt),
-            );
-        }
-        st
-    });
     let start = Instant::now();
     let set = if needs_traces {
-        TraceSet::build_with_store(&specs, uops, &opts.trace_cache, store.as_ref())
+        TraceSet::build(&specs, uops, &opts.trace_cache)
     } else {
         TraceSet::streaming(&specs)
     };
@@ -593,9 +549,6 @@ fn main() {
             mib / set.cached_count() as f64,
             uops
         );
-        // The timing entry covers *materialising* the recordings (generated
-        // live or deserialised from the store); the JSON additionally carries
-        // the store hit/miss split so warm-cache speedups stay explicable.
         report.push(Timing {
             name: "tracegen",
             wall_s: tracegen_wall,
@@ -606,30 +559,6 @@ fn main() {
     } else {
         println!("Trace cache: not needed by the requested experiments");
     }
-    if let Some(st) = &store {
-        println!(
-            "Trace store: {} hit(s), {} miss(es); generated {} µ-ops, loaded {}/{} recordings ({:.1} MiB on disk at {})",
-            st.hits(),
-            st.misses(),
-            set.generated_uops(),
-            set.loaded_count(),
-            set.cached_count(),
-            st.disk_bytes() as f64 / (1024.0 * 1024.0),
-            st.dir().display()
-        );
-        if let Some(mb) = opts.trace_dir_mb {
-            match st.sweep(mb * 1024 * 1024) {
-                Ok(sw) if sw.files_removed > 0 => println!(
-                    "Trace store: evicted {} stale recording(s) ({:.1} MiB) to fit {mb} MiB",
-                    sw.files_removed,
-                    sw.bytes_removed as f64 / (1024.0 * 1024.0)
-                ),
-                Ok(_) => {}
-                Err(e) => eprintln!("[figures] trace store sweep failed: {e}"),
-            }
-        }
-    }
-
     if wants(&opts, "table1") {
         println!("\n=== Table I: pipeline configuration ===");
         let c = bebop::PipelineConfig::baseline_6_60();
@@ -754,7 +683,7 @@ fn main() {
     let mut wp_agg = WrongPathAgg::default();
     if wants(&opts, "wrongpath") {
         timed(&mut report, "wrongpath", || {
-            let out = run_wrong_path(&specs, uops, &opts.trace_cache, store.as_ref());
+            let out = run_wrong_path(&specs, uops, &opts.trace_cache);
             println!(
                 "\n=== Wrong-path execution: {}-µ-op bursts, D-VTAGE on Baseline_VP_6_60 ===",
                 WRONG_PATH_BURST
@@ -817,7 +746,7 @@ fn main() {
     let mut mix_agg = MixAgg::default();
     if wants(&opts, "mix") {
         timed(&mut report, "mix", || {
-            let out = run_mix(&specs, uops, store.as_ref());
+            let out = run_mix(&specs, uops);
             println!(
                 "\n=== Mix: multi-programmed shared predictor ({}-µ-op quantum, {}-shard BeBoP \
                  D-VTAGE Medium, Baseline_VP_6_60) ===",
@@ -881,18 +810,11 @@ fn main() {
             if let Some(w) = opts.sample_warmup {
                 cfg.warmup_uops = w;
             }
-            let out = sampling::run_sampled(&specs, uops, &cfg, &opts.trace_cache, store.as_ref());
+            let out = sampling::run_sampled(&specs, uops, &cfg);
             println!(
                 "\n=== Phase sampling: {}-µ-op slices, ≤{} phases, {}-µ-op warm-up, \
                  D-VTAGE on Baseline_VP_6_60 ===",
                 cfg.slice_uops, cfg.max_phases, cfg.warmup_uops
-            );
-            // The header trace-accounting line prints before opt-in
-            // experiments run, so sampling reports its own population (CI
-            // greps "generated 0 µ-ops" here on a warm store).
-            println!(
-                "    sample trace population: loaded {}, recorded {}, generated {} µ-ops",
-                out.loaded_traces, out.recorded_traces, out.generated_uops
             );
             println!(
                 "    {:<18} {:>6} {:>6}  {:>8} {:>7}  {:>8} {:>7}  {:>8} {:>7}  {:>9}",
@@ -966,8 +888,8 @@ fn main() {
             checkpoint_every: opts.checkpoint_every,
             ..SweepOptions::default()
         };
-        if let Some(seed) = opts.fault_seed {
-            let mut plan = FaultPlan::seeded(seed);
+        if !opts.fault_panic_jobs.is_empty() || !opts.fault_stall_jobs.is_empty() {
+            let mut plan = FaultPlan::default();
             for &job in &opts.fault_panic_jobs {
                 plan = plan.with_panic_job(job);
             }
@@ -977,7 +899,7 @@ fn main() {
             sweep_opts.faults = Some(plan);
         }
         timed(&mut report, "sweep", || {
-            let out = run_sweep_jobs(&req, &dir, store.as_ref(), &sweep_opts).unwrap_or_else(|e| {
+            let out = run_sweep_jobs(&req, &dir, &sweep_opts).unwrap_or_else(|e| {
                 eprintln!("[figures] sweep in {} failed: {e}", dir.display());
                 std::process::exit(1);
             });
@@ -1042,7 +964,6 @@ fn main() {
             &opts,
             set.len(),
             &set,
-            store.as_ref(),
             &wp_agg,
             &mix_agg,
             &sampled_agg,

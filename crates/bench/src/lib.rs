@@ -36,7 +36,7 @@ pub mod perf_json;
 pub mod sampling;
 pub mod sweep;
 
-pub use bebop_trace::{FaultPlan, TraceStore, TRACE_FORMAT_VERSION};
+pub use bebop_trace::FaultPlan;
 pub use trace_set::{TraceCachePolicy, TraceSet};
 
 /// Number of µ-ops simulated per benchmark when regenerating figures
@@ -390,20 +390,16 @@ impl WrongPathOutcome {
 /// three wrong-path policies (off / clean / polluted) — all over the identical
 /// trace, so the polluted-vs-clean accuracy delta isolates predictor pollution
 /// and the clean-vs-off delta isolates bandwidth and cache effects.
-///
-/// The wrong-path specifications have their own trace-store fingerprints, so a
-/// shared `--trace-dir` caches these recordings alongside the plain ones.
 pub fn run_wrong_path(
     specs: &[WorkloadSpec],
     uops: u64,
     policy: &TraceCachePolicy,
-    store: Option<&TraceStore>,
 ) -> WrongPathOutcome {
     let wp_specs: Vec<WorkloadSpec> = specs
         .iter()
         .map(|s| s.clone().with_wrong_path(WRONG_PATH_BURST))
         .collect();
-    let set = TraceSet::build_with_store(&wp_specs, uops, policy, store);
+    let set = TraceSet::build(&wp_specs, uops, policy);
     set.assert_covers(uops);
 
     let base = PipelineConfig::baseline_vp_6_60();
@@ -491,8 +487,8 @@ impl MixOutcome {
 ///
 /// Consecutive workloads are paired up (`w0+w1`, `w2+w3`, …; an odd trailing
 /// workload is dropped), each pair is interleaved round-robin by
-/// [`MIX_QUANTUM`] into one ASID-tagged trace (recorded once, cached in the
-/// persistent store when one is attached), and the *identical* trace is
+/// [`MIX_QUANTUM`] into one ASID-tagged trace (recorded once), and the
+/// *identical* trace is
 /// simulated under each [`SharingPolicy`]: a [`configs::MIX_SHARDS`]-way
 /// sharded BeBoP D-VTAGE (Medium) on `Baseline_VP_6_60` with mix-mode context
 /// switching. Per-context accuracy/coverage therefore isolates the sharing
@@ -501,18 +497,15 @@ impl MixOutcome {
 ///
 /// Every run's per-context statistics are asserted to sum to its aggregate
 /// counters (the CI smoke step relies on this assertion running).
-pub fn run_mix(specs: &[WorkloadSpec], uops: u64, store: Option<&TraceStore>) -> MixOutcome {
+pub fn run_mix(specs: &[WorkloadSpec], uops: u64) -> MixOutcome {
     let pairs: Vec<MixSpec> = specs
         .chunks(2)
         .filter(|c| c.len() == 2)
         .map(|c| MixSpec::pair(MIX_QUANTUM, c[0].clone(), c[1].clone()))
         .collect();
 
-    // Record (or load) every pair's interleaved trace once, fanned out.
-    let buffers: Vec<TraceBuffer> = par::par_map(&pairs, |mix| match store {
-        Some(st) => st.load_or_record_mix(mix, uops).0,
-        None => mix.record(uops),
-    });
+    // Record every pair's interleaved trace once, fanned out.
+    let buffers: Vec<TraceBuffer> = par::par_map(&pairs, |mix| mix.record(uops));
 
     // One flat (pair × policy) task list over the shared recordings.
     let tasks: Vec<(usize, usize)> = (0..pairs.len())
@@ -649,7 +642,7 @@ mod tests {
     fn wrong_path_experiment_exercises_all_three_policies() {
         let specs: Vec<WorkloadSpec> = vec![WorkloadSpec::new("wp-bench", 41)];
         let uops = 4_000;
-        let out = run_wrong_path(&specs, uops, &TraceCachePolicy::default(), None);
+        let out = run_wrong_path(&specs, uops, &TraceCachePolicy::default());
         assert_eq!(out.rows.len(), 1);
         assert_eq!(out.simulated_uops, 3 * uops);
         let row = &out.rows[0];
@@ -674,7 +667,7 @@ mod tests {
             bebop_trace::spec_benchmark("429.mcf"),
         ];
         let uops = 6_000;
-        let out = run_mix(&specs, uops, None);
+        let out = run_mix(&specs, uops);
         assert_eq!(out.rows.len(), 1);
         assert_eq!(out.simulated_uops, 3 * uops);
         assert_eq!(out.sum_checked_runs, 3);
@@ -707,7 +700,7 @@ mod tests {
             WorkloadSpec::named_demo("odd-b"),
             WorkloadSpec::named_demo("odd-c"),
         ];
-        let out = run_mix(&specs, 2_000, None);
+        let out = run_mix(&specs, 2_000);
         assert_eq!(out.rows.len(), 1, "only complete pairs run");
     }
 
@@ -754,7 +747,7 @@ mod tests {
             .map(|n| WorkloadSpec::named_demo(*n))
             .collect();
         let cached = TraceSet::build(&specs, uops, &TraceCachePolicy::default());
-        let streaming = TraceSet::build(&specs, uops, &TraceCachePolicy::disabled());
+        let streaming = TraceSet::build(&specs, uops, &TraceCachePolicy::capped_mb(0));
         let a = run_fig8(&cached, uops);
         let b = run_fig8(&streaming, uops);
         assert_eq!(a.groups, b.groups);

@@ -16,11 +16,6 @@ pub struct PerfReport {
     pub uops_per_run: u64,
     /// Aggregate simulation throughput over every experiment.
     pub total_uops_per_sec: f64,
-    /// Persistent trace-store hits during the run (0 without `--trace-dir`,
-    /// and for reports from before the store existed).
-    pub trace_store_hits: u64,
-    /// Persistent trace-store misses during the run.
-    pub trace_store_misses: u64,
     /// Wrong-path µ-ops fetched by the `--wrong-path` experiment (0 when it
     /// did not run, and for reports from before the mode existed).
     pub wrong_path_fetched: u64,
@@ -117,10 +112,6 @@ pub fn parse(text: &str) -> Option<PerfReport> {
     let threads = number_after(text, "threads", 0)?.0 as u64;
     let uops_per_run = number_after(text, "uops_per_run", 0)?.0 as u64;
     let total_uops_per_sec = number_after(text, "total_uops_per_sec", 0)?.0;
-    // Optional: reports written before the persistent trace store read as 0.
-    let trace_store_hits = number_after(text, "trace_store_hits", 0).map_or(0, |(v, _)| v as u64);
-    let trace_store_misses =
-        number_after(text, "trace_store_misses", 0).map_or(0, |(v, _)| v as u64);
     // Optional: reports written before the wrong-path mode read as 0.
     let wrong_path_fetched =
         number_after(text, "wrong_path_fetched", 0).map_or(0, |(v, _)| v as u64);
@@ -165,8 +156,6 @@ pub fn parse(text: &str) -> Option<PerfReport> {
         threads,
         uops_per_run,
         total_uops_per_sec,
-        trace_store_hits,
-        trace_store_misses,
         wrong_path_fetched,
         wrong_path_executed,
         wrong_path_vp_trains,
@@ -239,17 +228,6 @@ pub fn diff_gated(
         lines.push(format!(
             "  note: baseline ran {} thread(s) x {} uops, current {} thread(s) x {} uops",
             baseline.threads, baseline.uops_per_run, current.threads, current.uops_per_run
-        ));
-    }
-    if baseline.trace_store_hits + baseline.trace_store_misses > 0
-        || current.trace_store_hits + current.trace_store_misses > 0
-    {
-        lines.push(format!(
-            "  trace store: {} hit(s) / {} miss(es) (baseline {} / {})",
-            current.trace_store_hits,
-            current.trace_store_misses,
-            baseline.trace_store_hits,
-            baseline.trace_store_misses
         ));
     }
     if baseline.wrong_path_fetched > 0 || current.wrong_path_fetched > 0 {
@@ -389,15 +367,11 @@ mod tests {
     }
 
     #[test]
-    fn store_counters_default_to_zero_on_old_reports() {
-        // The committed baseline predates the trace store; its absence of the
-        // counters must parse as zero traffic, not as a parse failure.
-        let r = parse(&report(1000.0, 1000.0)).expect("parse");
-        assert_eq!((r.trace_store_hits, r.trace_store_misses), (0, 0));
-    }
-
-    #[test]
-    fn store_counters_parse_and_show_in_the_diff() {
+    fn reports_with_retired_store_counters_still_parse() {
+        // Reports written while the on-disk trace store existed (the
+        // committed baseline among them) carry `trace_store_*` keys; the
+        // scanner must read every other field around them and the gate must
+        // still compare them.
         let with_store = r#"{
   "schema": "bebop-bench-figures/v1",
   "threads": 1,
@@ -414,18 +388,14 @@ mod tests {
   ]
 }
 "#;
-        let cur = parse(with_store).expect("parse");
-        assert_eq!((cur.trace_store_hits, cur.trace_store_misses), (36, 2));
-        let base = parse(&report(1000.0, 1000.0)).unwrap();
-        let d = diff(&base, &cur, 0.20);
-        assert!(
-            d.lines.iter().any(|l| l.contains("36 hit(s) / 2 miss(es)")),
-            "{:?}",
-            d.lines
-        );
-        // No store traffic on either side: no store line.
-        let quiet = diff(&base, &base, 0.20);
-        assert!(!quiet.lines.iter().any(|l| l.contains("trace store")));
+        let old = parse(with_store).expect("a report with store counters parses");
+        assert_eq!((old.threads, old.uops_per_run), (1, 200_000));
+        assert!((old.total_uops_per_sec - 1000.0).abs() < 1e-9);
+        assert_eq!(old.experiments, vec![("fig8".to_string(), 1000.0)]);
+        let cur = parse(&report(1000.0, 1000.0)).unwrap();
+        let d = diff(&old, &cur, 0.20);
+        assert!(d.failure.is_none(), "{:?}", d.lines);
+        assert!(d.lines.iter().any(|l| l.contains("fig8")), "{:?}", d.lines);
     }
 
     #[test]

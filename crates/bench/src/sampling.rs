@@ -25,8 +25,7 @@
 //! reported interval must contain the full-run golden; see
 //! [`SampledMetrics`]).
 
-use crate::trace_set::TraceCachePolicy;
-use bebop::{par, run_slice, PredictorKind, SimStats, TraceBuffer, TraceStore};
+use bebop::{par, run_slice, PredictorKind, SimStats, TraceBuffer};
 use bebop_trace::{fnv1a, profile_slices, SliceBbv, WorkloadSpec, BBV_DIMS, FNV_OFFSET_BASIS};
 use bebop_uarch::PipelineConfig;
 use rand::rngs::SmallRng;
@@ -444,17 +443,12 @@ pub struct SampledOutcome {
     pub simulated_uops: u64,
     /// Committed µ-ops the equivalent full runs would have simulated.
     pub full_uops: u64,
-    /// Trace-population accounting: recordings loaded from the persistent
-    /// store (no generation paid).
-    pub loaded_traces: usize,
-    /// Recordings generated this run (store misses or no store attached).
-    pub recorded_traces: usize,
-    /// µ-ops generated this run (0 on a fully warm store).
+    /// µ-ops generated into the population's recordings.
     pub generated_uops: u64,
 }
 
 /// The phase-sampling experiment behind `figures --sample`, parameterised on
-/// pipeline and predictor: records (or store-loads) every workload once,
+/// pipeline and predictor: records every workload once,
 /// profiles + clusters each recording, simulates one representative slice
 /// per phase — the whole (benchmark × phase) product fanned out over
 /// [`par::par_map`] — and folds the results into weighted per-benchmark
@@ -465,26 +459,10 @@ pub fn run_sampled_with(
     cfg: &SamplingConfig,
     pipeline: &PipelineConfig,
     predictor: &PredictorKind,
-    policy: &TraceCachePolicy,
-    store: Option<&TraceStore>,
 ) -> SampledOutcome {
-    assert!(
-        policy.enabled,
-        "phase sampling needs materialised recordings; `--no-trace-cache` cannot stream them"
-    );
-    // Record (or load) every workload's full-length trace once, fanned out.
-    let recorded: Vec<(TraceBuffer, bool)> = par::par_map(specs, |spec| match store {
-        Some(st) => st.load_or_record(spec, uops),
-        None => (TraceBuffer::record(spec, uops), false),
-    });
-    let loaded_traces = recorded.iter().filter(|(_, loaded)| *loaded).count();
-    let recorded_traces = recorded.len() - loaded_traces;
-    let generated_uops: u64 = recorded
-        .iter()
-        .filter(|(_, loaded)| !loaded)
-        .map(|(b, _)| b.len() as u64)
-        .sum();
-    let buffers: Vec<TraceBuffer> = recorded.into_iter().map(|(b, _)| b).collect();
+    // Record every workload's full-length trace once, fanned out.
+    let buffers: Vec<TraceBuffer> = par::par_map(specs, |spec| TraceBuffer::record(spec, uops));
+    let generated_uops: u64 = buffers.iter().map(|b| b.len() as u64).sum();
 
     // Profile + cluster each recording (cheap relative to simulation; done
     // in input order, seeded by workload content — see `cluster_slices` for
@@ -560,29 +538,19 @@ pub fn run_sampled_with(
         rows,
         simulated_uops,
         full_uops: specs.len() as u64 * uops,
-        loaded_traces,
-        recorded_traces,
         generated_uops,
     }
 }
 
 /// [`run_sampled_with`] on the default measurement configuration of the
 /// evaluation's headline numbers: D-VTAGE on `Baseline_VP_6_60`.
-pub fn run_sampled(
-    specs: &[WorkloadSpec],
-    uops: u64,
-    cfg: &SamplingConfig,
-    policy: &TraceCachePolicy,
-    store: Option<&TraceStore>,
-) -> SampledOutcome {
+pub fn run_sampled(specs: &[WorkloadSpec], uops: u64, cfg: &SamplingConfig) -> SampledOutcome {
     run_sampled_with(
         specs,
         uops,
         cfg,
         &PipelineConfig::baseline_vp_6_60(),
         &PredictorKind::DVtage,
-        policy,
-        store,
     )
 }
 
@@ -655,13 +623,7 @@ mod tests {
     fn run_sampled_simulates_a_fraction_of_the_full_budget() {
         let specs = vec![WorkloadSpec::named_demo("sampling-run")];
         let uops = 25_000;
-        let out = run_sampled(
-            &specs,
-            uops,
-            &SamplingConfig::for_budget(uops),
-            &TraceCachePolicy::default(),
-            None,
-        );
+        let out = run_sampled(&specs, uops, &SamplingConfig::for_budget(uops));
         assert_eq!(out.rows.len(), 1);
         assert_eq!(out.full_uops, uops);
         assert!(
@@ -670,8 +632,6 @@ mod tests {
             out.simulated_uops,
             out.full_uops
         );
-        assert_eq!(out.loaded_traces, 0);
-        assert_eq!(out.recorded_traces, 1);
         assert_eq!(out.generated_uops, uops);
         let row = &out.rows[0];
         assert_eq!(row.slices, 50);

@@ -2,15 +2,15 @@
 //!
 //! The ROADMAP's north star is a service-scale search over predictor
 //! geometries (10⁴–10⁶ cells). A sweep that long *will* be killed, meet
-//! corrupt trace files and transient I/O errors, and hit the odd
-//! configuration that panics the simulator — so this module treats a sweep as
-//! a durable job set rather than one in-memory loop:
+//! transient I/O errors, and hit the odd configuration that panics the
+//! simulator — so this module treats a sweep as a durable job set rather than
+//! one in-memory loop:
 //!
 //! * A [`SweepRequest`] (workloads × variants × µ-op budget) expands into a
 //!   content-addressed job set: every cell's [`JobKey`] fingerprints the
 //!   workload specification, the pipeline configuration, the predictor and
-//!   the budget (the sweep analogue of [`bebop_trace::TraceKey`]), so a job's
-//!   identity survives process restarts and reorderings of the grid.
+//!   the budget, so a job's identity survives process restarts and
+//!   reorderings of the grid.
 //! * Completed cells persist *incrementally* to an append-only, per-record
 //!   checksummed journal (`journal.bbl`). Each record is one self-validating
 //!   line; on resume the journal is replayed and a torn tail — the signature
@@ -20,13 +20,12 @@
 //!   via temporary-file + atomic rename, in job order with a trailing
 //!   whole-file checksum: byte-identical no matter how many times the sweep
 //!   was killed and resumed on the way there.
-//! * Every job runs panic-isolated ([`bebop::run_source_checked`]); a
-//!   poisoned configuration is *quarantined* (recorded with a reason,
-//!   reported, excluded from aggregates) instead of aborting the sweep.
-//!   Transient store I/O errors are retried with exponential backoff;
-//!   permanent ones degrade gracefully (an unwritable trace store falls back
-//!   to in-memory recording, a corrupt trace is deleted and regenerated by
-//!   the store itself) and are counted in the [`SweepReport`].
+//! * Every job runs panic-isolated (`catch_unwind` around
+//!   [`bebop::run_source_resumable`]); a poisoned configuration is
+//!   *quarantined* (recorded with a reason, reported, excluded from
+//!   aggregates) instead of aborting the sweep. Transient journal and ledger
+//!   write errors are retried with exponential backoff and counted in the
+//!   [`SweepReport`].
 //! * Cells run supervised: each publishes a committed-µop heartbeat through a
 //!   [`RunControl`], and when [`SweepOptions::cell_timeout`] is set a watchdog
 //!   thread cancels any cell whose heartbeat stalls past the budget. A stalled
@@ -37,18 +36,13 @@
 //!   (see `bebop::SimCheckpoint`); a `kill -9` mid-cell then costs only the
 //!   work since the last snapshot, and SIGINT/SIGTERM write a final snapshot
 //!   before the cell returns unjournaled (to be resumed later).
-//! * A [`FaultPlan`] makes all of the above testable in-tree: deterministic
-//!   injected I/O errors, short reads, corruption, per-job panics and
-//!   per-job stalls.
+//! * A [`FaultPlan`] makes the quarantine and watchdog paths testable
+//!   in-tree: deterministic per-job panics and per-job stalls.
 //!
 //! The failure matrix, in one place:
 //!
 //! | failure | class | response |
 //! | ------- | ----- | -------- |
-//! | store read error | transient | degrade to miss → regenerate trace |
-//! | corrupt / short / stale trace | permanent (file) | store deletes it → regenerate |
-//! | undeletable invalid trace | permanent (dir) | skip and count (`delete_errors`) |
-//! | store write error | transient | retry with backoff, then run unsaved |
 //! | journal append error | transient | retry with backoff, then count (cell re-runs on resume) |
 //! | job panic | permanent (config) | quarantine the cell, `reason_kind = panic` |
 //! | stalled cell (heartbeat flat past `cell_timeout`) | permanent (config) | watchdog cancels → quarantine, `reason_kind = timeout`, checkpoint discarded |
@@ -56,12 +50,14 @@
 //! | `kill -9` mid-sweep | — | resume: journal replay + torn-tail salvage; mid-cell snapshot restores the interrupted cell |
 //! | corrupt / stale / mismatched cell checkpoint | permanent (file) | rejected and discarded; the cell re-runs from zero |
 
-use crate::{SweepVariant, TraceStore};
+use crate::SweepVariant;
 use bebop::{
     configs, panic_reason, par, run_source_resumable, shutdown_requested, PredictorKind,
     ResumeOptions, RunControl, RunOutcome, SimStats, UopSource,
 };
-use bebop_trace::{spec_fingerprint, FaultPlan, TraceBuffer, WorkloadSpec};
+use bebop_trace::{
+    fnv1a, spec_fingerprint, FaultPlan, TraceBuffer, WorkloadSpec, FNV_OFFSET_BASIS,
+};
 use bebop_uarch::{gmean, PipelineConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -81,17 +77,6 @@ const MANIFEST_FILE: &str = "MANIFEST.bbsweep";
 const JOURNAL_FILE: &str = "journal.bbl";
 const LEDGER_FILE: &str = "ledger.bbl";
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 // ---------------------------------------------------------------------------
 // Job identity
 // ---------------------------------------------------------------------------
@@ -101,9 +86,8 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 /// [`spec_fingerprint`], which already covers every field and the generator
 /// seed) and the variant (label, pipeline configuration, predictor).
 ///
-/// Mirrors [`bebop_trace::TraceKey`]: change anything that could change the
-/// cell's result and the key changes with it, orphaning — never poisoning —
-/// old journal records.
+/// Change anything that could change the cell's result and the key changes
+/// with it, orphaning — never poisoning — old journal records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobKey(pub u64);
 
@@ -124,7 +108,7 @@ impl JobKey {
         enc.extend_from_slice(format!("{pipeline:?}").as_bytes());
         enc.push(0);
         enc.extend_from_slice(format!("{predictor:?}").as_bytes());
-        JobKey(fnv1a(FNV_OFFSET, &enc))
+        JobKey(fnv1a(FNV_OFFSET_BASIS, &enc))
     }
 }
 
@@ -189,7 +173,7 @@ impl SweepRequest {
     /// different grids in one journal could otherwise go unnoticed until the
     /// cell counts stop adding up.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, b"BBPSWEEPREQ");
+        let mut h = fnv1a(FNV_OFFSET_BASIS, b"BBPSWEEPREQ");
         h = fnv1a(h, &SWEEP_FORMAT_VERSION.to_le_bytes());
         h = fnv1a(h, &self.uops.to_le_bytes());
         h = fnv1a(h, &(self.workloads.len() as u64).to_le_bytes());
@@ -352,7 +336,7 @@ impl CellRecord {
             vp_eligible: stats.vp.eligible,
             vp_predicted: stats.vp.predicted,
             vp_correct: stats.vp.correct,
-            digest: fnv1a(FNV_OFFSET, format!("{stats:?}").as_bytes()),
+            digest: fnv1a(FNV_OFFSET_BASIS, format!("{stats:?}").as_bytes()),
             reason_kind: None,
         }
     }
@@ -396,7 +380,7 @@ impl CellRecord {
             self.vp_correct,
             self.digest
         );
-        let cksum = fnv1a(FNV_OFFSET, body.as_bytes());
+        let cksum = fnv1a(FNV_OFFSET_BASIS, body.as_bytes());
         format!("{body} {cksum:016x}")
     }
 
@@ -411,7 +395,7 @@ impl CellRecord {
     fn decode(line: &str) -> Option<CellRecord> {
         let (body, cksum_str) = line.rsplit_once(' ')?;
         let cksum = u64::from_str_radix(cksum_str, 16).ok()?;
-        if cksum_str.len() != 16 || fnv1a(FNV_OFFSET, body.as_bytes()) != cksum {
+        if cksum_str.len() != 16 || fnv1a(FNV_OFFSET_BASIS, body.as_bytes()) != cksum {
             return None;
         }
         let fields: Vec<&str> = body.split(' ').collect();
@@ -546,7 +530,10 @@ impl SweepLedger {
             out.push_str(&rec.encode());
             out.push('\n');
         }
-        out.push_str(&format!("END {:016x}\n", fnv1a(FNV_OFFSET, out.as_bytes())));
+        out.push_str(&format!(
+            "END {:016x}\n",
+            fnv1a(FNV_OFFSET_BASIS, out.as_bytes())
+        ));
         let path = self.ledger_path();
         let tmp = self.dir.join(format!(".tmp-ledger-{}", std::process::id()));
         fs::write(&tmp, &out)?;
@@ -577,16 +564,15 @@ impl SweepLedger {
 /// Failure-handling policy of one engine run.
 #[derive(Debug)]
 pub struct SweepOptions {
-    /// Attempts per transient-I/O operation (journal appends, trace saves).
+    /// Attempts per transient-I/O operation (journal appends, ledger writes).
     pub retries: u32,
     /// Backoff before retry `k` is `backoff_ms << k` milliseconds.
     pub backoff_ms: u64,
     /// Stop after this many newly executed cells (used by tests and the CI
     /// smoke to create genuinely partial sweeps; `None` = run to completion).
     pub max_cells: Option<usize>,
-    /// Deterministic fault injection for this run's *jobs* (per-job panics
-    /// and stalls). Store-level faults are attached to the [`TraceStore`]
-    /// itself. Stall injection needs `cell_timeout`, or the stalled cell
+    /// Deterministic fault injection for this run's jobs (per-job panics and
+    /// stalls). Stall injection needs `cell_timeout`, or the stalled cell
     /// spins until the process is signalled.
     pub faults: Option<FaultPlan>,
     /// Watchdog budget: a running cell whose committed-µop heartbeat does not
@@ -663,14 +649,12 @@ pub struct SweepReport {
     /// Committed µ-ops those checkpoints carried (work a from-zero restart
     /// would have re-simulated).
     pub checkpoint_resumed_uops: u64,
-    /// Transient-I/O retries this run performed (journal appends, trace saves).
+    /// Transient-I/O retries this run performed (journal appends, ledger
+    /// writes).
     pub io_retries: u64,
     /// Journal appends that failed even after retrying: the cells' results
     /// are lost and will re-run on the next resume — counted, not fatal.
     pub ledger_writes_failed: u64,
-    /// Workload traces that could not be persisted to the store and ran from
-    /// an in-memory recording instead (degraded, not fatal).
-    pub traces_unsaved: u64,
     /// Bytes of torn journal tail truncated on open.
     pub salvaged_bytes: u64,
     /// Whether every cell is now recorded (quarantined cells count: they are
@@ -693,7 +677,7 @@ impl SweepReport {
             .filter(|(_, kind, _)| *kind == ReasonKind::Timeout)
             .count();
         format!(
-            "resumed {} completed cell(s), newly executed {}, re-simulated {} previously completed cell(s), quarantined {} ({} timed out), skipped {} on shutdown, io retries {}, unsaved traces {}, salvaged {} journal byte(s)",
+            "resumed {} completed cell(s), newly executed {}, re-simulated {} previously completed cell(s), quarantined {} ({} timed out), skipped {} on shutdown, io retries {}, salvaged {} journal byte(s)",
             self.resumed,
             self.executed,
             self.resimulated,
@@ -701,7 +685,6 @@ impl SweepReport {
             timed_out,
             self.skipped_on_shutdown,
             self.io_retries,
-            self.traces_unsaved,
             self.salvaged_bytes,
         )
     }
@@ -748,7 +731,6 @@ impl SweepReport {
 pub fn run_sweep_jobs(
     req: &SweepRequest,
     dir: &Path,
-    store: Option<&TraceStore>,
     opts: &SweepOptions,
 ) -> io::Result<SweepReport> {
     let jobs = req.expand();
@@ -808,14 +790,10 @@ pub fn run_sweep_jobs(
     };
 
     let io_retries = AtomicU64::new(0);
-    let traces_unsaved = AtomicU64::new(0);
     let ledger_writes_failed = AtomicU64::new(0);
 
-    // Materialise the traces the cells replay: one recording per workload,
-    // shared by reference across its variants. Store misses (including
-    // corrupt/short/stale files the store deleted, and injected read faults)
-    // regenerate; a store that cannot persist the regenerated recording
-    // degrades to in-memory (counted) rather than failing the sweep.
+    // Record the traces the cells replay: one recording per workload, shared
+    // by reference across its variants.
     let needed: Vec<usize> = to_run
         .iter()
         .map(|j| j.workload)
@@ -823,23 +801,7 @@ pub fn run_sweep_jobs(
         .into_iter()
         .collect();
     let buffers: Vec<TraceBuffer> = par::par_map(&needed, |&w| {
-        let spec = &req.workloads[w];
-        if let Some(st) = store {
-            if let Some(buf) = st.load(spec, req.uops) {
-                return buf;
-            }
-        }
-        let buf = TraceBuffer::record(spec, req.uops);
-        if let Some(st) = store {
-            if let Err(e) = retry_io(opts, &io_retries, || st.save(spec, req.uops, &buf)) {
-                traces_unsaved.fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "[sweep] cannot persist trace for {}: {e} (continuing with the in-memory recording)",
-                    spec.name
-                );
-            }
-        }
-        buf
+        TraceBuffer::record(&req.workloads[w], req.uops)
     });
     let buffer_of: BTreeMap<usize, &TraceBuffer> =
         needed.iter().copied().zip(buffers.iter()).collect();
@@ -1060,7 +1022,6 @@ pub fn run_sweep_jobs(
         checkpoint_resumed_uops: checkpoint_resumed_uops.load(Ordering::Relaxed),
         io_retries: io_retries.load(Ordering::Relaxed),
         ledger_writes_failed: ledger_writes_failed.load(Ordering::Relaxed),
-        traces_unsaved: traces_unsaved.load(Ordering::Relaxed),
         salvaged_bytes: salvage.salvaged_bytes,
         complete,
         ledger_path,
@@ -1108,21 +1069,21 @@ mod tests {
         // journals are lossless — and classify as a panic, the only failure
         // class that engine could record.
         let body = "C 0123456789abcdef 1 2 bad 0 0 0 0 0 0000000000000000 boom";
-        let line = format!("{body} {:016x}", fnv1a(FNV_OFFSET, body.as_bytes()));
+        let line = format!("{body} {:016x}", fnv1a(FNV_OFFSET_BASIS, body.as_bytes()));
         let rec = CellRecord::decode(&line).expect("legacy line must decode");
         assert_eq!(rec.status, CellStatus::Quarantined("boom".to_string()));
         assert_eq!(rec.reason_kind, Some(ReasonKind::Panic));
 
         // Same vintage, completed cell: no failure class.
         let body = "C 0123456789abcdef 1 2 ok 10 20 3 2 1 00000000deadbeef -";
-        let line = format!("{body} {:016x}", fnv1a(FNV_OFFSET, body.as_bytes()));
+        let line = format!("{body} {:016x}", fnv1a(FNV_OFFSET_BASIS, body.as_bytes()));
         let rec = CellRecord::decode(&line).expect("legacy ok line must decode");
         assert_eq!(rec.status, CellStatus::Ok);
         assert_eq!(rec.reason_kind, None);
 
         // A completed cell claiming a failure class is malformed.
         let body = "C 0123456789abcdef 1 2 ok 10 20 3 2 1 00000000deadbeef - panic";
-        let line = format!("{body} {:016x}", fnv1a(FNV_OFFSET, body.as_bytes()));
+        let line = format!("{body} {:016x}", fnv1a(FNV_OFFSET_BASIS, body.as_bytes()));
         assert_eq!(CellRecord::decode(&line), None);
     }
 

@@ -8,54 +8,29 @@
 //! worker threads replay the same shared, read-only buffers.
 //!
 //! Memory is bounded by a [`TraceCachePolicy`]: each 200K-µop trace costs
-//! roughly 6–7 MiB (the structure-of-arrays lanes of
+//! roughly 8 MiB (the structure-of-arrays lanes of
 //! [`TraceBuffer::footprint_bytes`]; the full 36-benchmark population is about
-//! a quarter of a GiB). Runs on memory-constrained machines can cap the cache
-//! (`--trace-cache-mb`) or disable it (`--no-trace-cache`), in which case the
-//! uncached workloads fall back to streaming live generation — results are
-//! bit-identical either way, only the cost moves.
-
-//! With a persistent [`TraceStore`] attached ([`TraceSet::build_with_store`],
-//! the `--trace-dir` flag), recordings are additionally keyed and cached *on
-//! disk*: a build first tries to load each workload's serialised lanes and
-//! only generates (then persists) on a miss, so a second run of the same
-//! (spec, µ-op budget) population generates zero µ-ops.
+//! 284 MiB, growing linearly with the µ-op budget). Runs on memory-constrained
+//! machines can cap the cache (`--trace-cache-mb`; 0 records nothing), in
+//! which case the uncached workloads fall back to streaming live generation —
+//! results are bit-identical either way, only the cost moves.
 
 use bebop::{par, UopSource, WorkloadSpec};
-use bebop_trace::{TraceBuffer, TraceStore};
+use bebop_trace::TraceBuffer;
 
 /// How much memory a [`TraceSet`] may spend on recorded traces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceCachePolicy {
-    /// When false, nothing is recorded and every source streams live.
-    pub enabled: bool,
-    /// Optional cap on the total recorded footprint, in bytes. Workloads that
-    /// do not fit under the cap stream live instead.
+    /// Optional cap on the total recorded footprint, in bytes (`None` =
+    /// unbounded). Workloads that do not fit under the cap stream live
+    /// instead, so a cap of 0 streams everything.
     pub cap_bytes: Option<u64>,
 }
 
-impl Default for TraceCachePolicy {
-    fn default() -> Self {
-        TraceCachePolicy {
-            enabled: true,
-            cap_bytes: None,
-        }
-    }
-}
-
 impl TraceCachePolicy {
-    /// The policy selected by `--no-trace-cache`: stream everything.
-    pub fn disabled() -> Self {
-        TraceCachePolicy {
-            enabled: false,
-            cap_bytes: None,
-        }
-    }
-
     /// A cache capped at `mb` mebibytes (the `--trace-cache-mb` flag).
     pub fn capped_mb(mb: u64) -> Self {
         TraceCachePolicy {
-            enabled: true,
             cap_bytes: Some(mb * 1024 * 1024),
         }
     }
@@ -81,45 +56,25 @@ impl std::fmt::Debug for TraceSetEntry {
 pub struct TraceSet {
     uops: u64,
     entries: Vec<TraceSetEntry>,
-    /// µ-ops generated *live* into recordings during the build (store hits
-    /// load their lanes from disk and generate nothing).
+    /// µ-ops generated into recordings during the build, including a probe
+    /// that turned out not to fit under the cap.
     generated: u64,
-    /// Recordings loaded from the persistent store during the build.
-    loaded: usize,
 }
 
 impl TraceSet {
     /// Records up to `uops` µ-ops per workload under `policy`, fanning the
     /// recordings out across cores with [`par::par_map`].
-    pub fn build(specs: &[WorkloadSpec], uops: u64, policy: &TraceCachePolicy) -> Self {
-        Self::build_with_store(specs, uops, policy, None)
-    }
-
-    /// [`TraceSet::build`] with an optional persistent [`TraceStore`]: each
-    /// recording is first looked up on disk and only generated (then
-    /// persisted, best-effort) on a miss, so a warm store turns the whole
-    /// build into deserialisation — [`TraceSet::generated_uops`] reports zero.
     ///
     /// When a footprint cap is set, the dense-lane lower bound is checked
     /// first — a cap no recording could fit under streams everything without
-    /// paying for a probe — then one workload is materialised to measure the
-    /// real per-trace cost (all workloads share the µ-op budget, so one
-    /// recording is representative). The probe is kept whenever it fits under
-    /// the cap; only as many traces as fit are cached and the rest stream.
-    pub fn build_with_store(
-        specs: &[WorkloadSpec],
-        uops: u64,
-        policy: &TraceCachePolicy,
-        store: Option<&TraceStore>,
-    ) -> Self {
-        if !policy.enabled || specs.is_empty() {
+    /// paying for a probe — then one workload is recorded to measure the real
+    /// per-trace cost (all workloads share the µ-op budget, so one recording
+    /// is representative). The probe is kept whenever it fits under the cap;
+    /// only as many traces as fit are cached and the rest stream.
+    pub fn build(specs: &[WorkloadSpec], uops: u64, policy: &TraceCachePolicy) -> Self {
+        if specs.is_empty() {
             return Self::streaming(specs);
         }
-        let materialise = |spec: &WorkloadSpec| match store {
-            Some(st) => st.load_or_record(spec, uops),
-            None => (TraceBuffer::record(spec, uops), false),
-        };
-
         let (probe, cached) = match policy.cap_bytes {
             None => (None, specs.len()),
             Some(cap) => {
@@ -129,60 +84,35 @@ impl TraceSet {
                 if cap < TraceBuffer::dense_estimate_bytes(uops) {
                     return Self::streaming(specs);
                 }
-                let (probe, probe_loaded) = materialise(&specs[0]);
+                let probe = TraceBuffer::record(&specs[0], uops);
                 let per_trace = (probe.footprint_bytes() as u64).max(1);
                 // CAST: min() with specs.len() bounds the result to a
                 // real collection size even if the u64 quotient is huge.
                 let fit = ((cap / per_trace) as usize).min(specs.len());
                 if fit == 0 {
                     // The sparse lanes pushed the probe past the dense lower
-                    // bound and over the cap: nothing fits. With a store
-                    // attached the recording was persisted, so even this
-                    // probe is not wasted across runs. `loaded` stays 0 — it
-                    // counts recordings *in the set*, and the probe was
-                    // dropped — but the generation cost is real and reported.
+                    // bound and over the cap: nothing fits. The probe is
+                    // dropped, but its generation cost is real and reported.
                     let mut set = Self::streaming(specs);
-                    if !probe_loaded {
-                        set.generated = uops;
-                    }
+                    set.generated = uops;
                     return set;
                 }
-                (Some((probe, probe_loaded)), fit)
+                (Some(probe), fit)
             }
         };
 
-        let mut generated: u64 = 0;
-        let mut loaded: usize = 0;
         let mut entries: Vec<TraceSetEntry> = Vec::with_capacity(specs.len());
-        if let Some((buf, was_loaded)) = probe {
-            if was_loaded {
-                loaded += 1;
-            } else {
-                generated += uops;
-            }
+        if let Some(buf) = probe {
             entries.push(TraceSetEntry {
                 spec: specs[0].clone(),
                 buf: Some(buf),
             });
         }
         let first = entries.len();
-        for (entry, was_loaded) in par::par_map(&specs[first..cached], |spec| {
-            let (buf, was_loaded) = materialise(spec);
-            (
-                TraceSetEntry {
-                    spec: spec.clone(),
-                    buf: Some(buf),
-                },
-                was_loaded,
-            )
-        }) {
-            if was_loaded {
-                loaded += 1;
-            } else {
-                generated += uops;
-            }
-            entries.push(entry);
-        }
+        entries.extend(par::par_map(&specs[first..cached], |spec| TraceSetEntry {
+            spec: spec.clone(),
+            buf: Some(TraceBuffer::record(spec, uops)),
+        }));
         entries.extend(specs[cached..].iter().map(|spec| TraceSetEntry {
             spec: spec.clone(),
             buf: None,
@@ -190,8 +120,7 @@ impl TraceSet {
         TraceSet {
             uops,
             entries,
-            generated,
-            loaded,
+            generated: cached as u64 * uops,
         }
     }
 
@@ -207,7 +136,6 @@ impl TraceSet {
                 })
                 .collect(),
             generated: 0,
-            loaded: 0,
         }
     }
 
@@ -249,23 +177,17 @@ impl TraceSet {
             .sum()
     }
 
-    /// Total µ-ops materialised into recordings when the set was built —
-    /// generated live or loaded from the persistent store (the one-time cost
-    /// the replay fast path amortises).
+    /// Total µ-ops held in the set's recordings (the one-time cost the
+    /// replay fast path amortises).
     pub fn materialised_uops(&self) -> u64 {
         self.cached_count() as u64 * self.uops
     }
 
-    /// Total µ-ops generated *live* into recordings when the set was built.
-    /// Recordings loaded from a warm [`TraceStore`] generate nothing, so a
-    /// fully warm build reports zero here.
+    /// Total µ-ops generated into recordings when the set was built; exceeds
+    /// [`TraceSet::materialised_uops`] only by a probe dropped for not
+    /// fitting under the cap.
     pub fn generated_uops(&self) -> u64 {
         self.generated
-    }
-
-    /// Number of recordings loaded from the persistent store (store hits).
-    pub fn loaded_count(&self) -> usize {
-        self.loaded
     }
 
     /// Asserts that every recorded trace covers a `max_uops` simulation.
@@ -312,7 +234,7 @@ mod tests {
     #[test]
     fn disabled_cache_streams_everything() {
         let specs = tiny_specs();
-        let set = TraceSet::build(&specs, 2_000, &TraceCachePolicy::disabled());
+        let set = TraceSet::build(&specs, 2_000, &TraceCachePolicy::capped_mb(0));
         assert_eq!(set.cached_count(), 0);
         assert_eq!(set.footprint_bytes(), 0);
         assert_eq!(set.generated_uops(), 0);
@@ -329,7 +251,6 @@ mod tests {
             &specs,
             2_000,
             &TraceCachePolicy {
-                enabled: true,
                 cap_bytes: Some(per_trace * 2 + per_trace / 2),
             },
         );
@@ -341,7 +262,6 @@ mod tests {
             &specs,
             2_000,
             &TraceCachePolicy {
-                enabled: true,
                 cap_bytes: Some(16),
             },
         );
@@ -358,7 +278,6 @@ mod tests {
             &specs,
             2_000,
             &TraceCachePolicy {
-                enabled: true,
                 cap_bytes: Some(16),
             },
         );
@@ -377,7 +296,6 @@ mod tests {
             &specs,
             2_000,
             &TraceCachePolicy {
-                enabled: true,
                 cap_bytes: Some(per_trace + per_trace / 2),
             },
         );
@@ -385,74 +303,6 @@ mod tests {
         assert!(matches!(set.source(0), UopSource::Replay(_)));
         assert!(matches!(set.source(1), UopSource::Live(_)));
         assert_eq!(set.generated_uops(), 2_000);
-    }
-
-    fn store_dir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("bebop-trace-set-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn warm_store_build_generates_zero_uops_and_simulates_identically() {
-        let dir = store_dir("warm");
-        let store = TraceStore::open(&dir).expect("open store");
-        let specs = tiny_specs();
-
-        let cold =
-            TraceSet::build_with_store(&specs, 2_500, &TraceCachePolicy::default(), Some(&store));
-        assert_eq!(cold.cached_count(), 3);
-        assert_eq!(cold.generated_uops(), 3 * 2_500);
-        assert_eq!(cold.loaded_count(), 0);
-        assert_eq!(store.misses(), 3);
-
-        let warm =
-            TraceSet::build_with_store(&specs, 2_500, &TraceCachePolicy::default(), Some(&store));
-        assert_eq!(warm.cached_count(), 3);
-        assert_eq!(warm.generated_uops(), 0, "warm build must not generate");
-        assert_eq!(warm.loaded_count(), 3);
-        assert_eq!(warm.materialised_uops(), 3 * 2_500);
-        assert_eq!(store.hits(), 3);
-
-        let plain = TraceSet::build(&specs, 2_500, &TraceCachePolicy::default());
-        for i in 0..specs.len() {
-            let a = run_source(
-                warm.source(i),
-                &PipelineConfig::eole_4_60(),
-                &PredictorKind::DVtage,
-                2_500,
-            );
-            let b = run_source(
-                plain.source(i),
-                &PipelineConfig::eole_4_60(),
-                &PredictorKind::DVtage,
-                2_500,
-            );
-            assert_eq!(a, b, "store-loaded trace diverged for {}", warm.name(i));
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn capped_store_build_counts_the_probe_hit() {
-        let dir = store_dir("capped");
-        let store = TraceStore::open(&dir).expect("open store");
-        let specs = tiny_specs();
-        let full = TraceSet::build(&specs, 2_000, &TraceCachePolicy::default());
-        let per_trace = full.footprint_bytes() / 3;
-        let cap = TraceCachePolicy {
-            enabled: true,
-            cap_bytes: Some(per_trace + per_trace / 2),
-        };
-
-        let cold = TraceSet::build_with_store(&specs, 2_000, &cap, Some(&store));
-        assert_eq!(cold.cached_count(), 1, "cap holds one of the tiny traces");
-        let warm = TraceSet::build_with_store(&specs, 2_000, &cap, Some(&store));
-        assert_eq!(warm.cached_count(), 1);
-        assert_eq!(warm.loaded_count(), 1, "the probe must come from the store");
-        assert_eq!(warm.generated_uops(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub use bebop_vp::MAX_TAGGED;
 pub use block_dvtage::{BlockDVtage, BlockDVtageConfig};
 pub use checkpoint::{CheckpointError, SimCheckpoint, CHECKPOINT_FORMAT_VERSION, CHECKPOINT_MAGIC};
 pub use driver::{
-    compare, panic_reason, run_one, run_slice, run_source, run_source_checked, run_source_with,
-    AnyPredictor, BenchResult, PredictorKind, SpeedupSummary, UopSource, UopStream,
+    compare, panic_reason, run_one, run_slice, run_source, run_source_with, AnyPredictor,
+    BenchResult, PredictorKind, SpeedupSummary, UopSource, UopStream,
 };
 pub use recovery::RecoveryPolicy;
 pub use resume::{
@@ -83,7 +83,7 @@ pub use update_queue::FifoUpdateQueue;
 // Re-export the pieces downstream users almost always need alongside this crate.
 pub use bebop_trace::{
     all_spec_benchmarks, spec_benchmark, spec_fingerprint, MixSpec, RangeError, TraceBuffer,
-    TraceStore, WorkloadSpec, SPEC_BENCHMARK_NAMES, TRACE_FORMAT_VERSION,
+    WorkloadSpec, SPEC_BENCHMARK_NAMES,
 };
 pub use bebop_uarch::{MixConfig, PipelineConfig, SharingPolicy, SimStats};
 pub use bebop_vp::{ShardCounters, ShardedTable};

@@ -27,7 +27,7 @@
 //! a valid [`TraceBuffer::replay_range`] start.
 
 use crate::buffer::{meta, TraceBuffer};
-use crate::store::{fnv1a, FNV_OFFSET_BASIS};
+use crate::fingerprint::{fnv1a, FNV_OFFSET_BASIS};
 use bebop_isa::{fetch_block_pc, DEFAULT_FETCH_BLOCK_BYTES};
 
 /// Number of projected BBV dimensions.

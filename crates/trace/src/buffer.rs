@@ -297,7 +297,7 @@ impl TraceBuffer {
             + self.asid.capacity()
     }
 
-    /// Lane views for binary serialisation, in on-disk order
+    /// Raw lane views, in recording order
     /// `(pc, uop, value, meta, mem_addr, mem_size, br_target, asid)`. The
     /// ASID lane is either empty (single-context recording, every µ-op is
     /// ASID 0) or one entry per µ-op.
@@ -313,52 +313,6 @@ impl TraceBuffer {
             &self.br_target,
             &self.asid,
         )
-    }
-
-    /// Reassembles a buffer from deserialised lanes, validating the recording
-    /// invariants that [`TraceBuffer::push`] maintains: equal dense lane
-    /// lengths, and sparse lane lengths matching the number of µ-ops whose
-    /// metadata claims a memory access / branch outcome. Returns a description
-    /// of the violated invariant on mismatch, so the trace store can reject a
-    /// corrupt or truncated file instead of replaying garbage.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_lanes(
-        pc: Vec<u64>,
-        uop: Vec<Uop>,
-        value: Vec<u64>,
-        meta: Vec<u32>,
-        mem_addr: Vec<u64>,
-        mem_size: Vec<u8>,
-        br_target: Vec<u64>,
-        asid: Vec<u8>,
-    ) -> Result<Self, &'static str> {
-        let n = pc.len();
-        if uop.len() != n || value.len() != n || meta.len() != n {
-            return Err("dense lane lengths disagree");
-        }
-        let mems = meta.iter().filter(|&&m| m & meta::HAS_MEM != 0).count();
-        if mem_addr.len() != mems || mem_size.len() != mems {
-            return Err("sparse memory lanes disagree with the metadata");
-        }
-        let brs = meta.iter().filter(|&&m| m & meta::HAS_BRANCH != 0).count();
-        if br_target.len() != brs {
-            return Err("sparse branch lane disagrees with the metadata");
-        }
-        if !(asid.is_empty() || asid.len() == n) {
-            return Err("ASID lane is neither absent nor one entry per µ-op");
-        }
-        let wrong_path_count = meta.iter().filter(|&&m| m & meta::WRONG_PATH != 0).count();
-        Ok(TraceBuffer {
-            pc,
-            uop,
-            value,
-            meta,
-            mem_addr,
-            mem_size,
-            br_target,
-            asid,
-            wrong_path_count,
-        })
     }
 
     /// A zero-copy cursor replaying the recording from the start. Any number of
@@ -645,56 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn from_lanes_round_trips_and_validates() {
-        let buf = TraceBuffer::record(&WorkloadSpec::new("lanes", 3), 5_000);
-        let (pc, uop, value, meta, mem_addr, mem_size, br_target, asid) = buf.lanes();
-        let rebuilt = TraceBuffer::from_lanes(
-            pc.to_vec(),
-            uop.to_vec(),
-            value.to_vec(),
-            meta.to_vec(),
-            mem_addr.to_vec(),
-            mem_size.to_vec(),
-            br_target.to_vec(),
-            asid.to_vec(),
-        )
-        .expect("valid lanes");
-        assert_eq!(
-            buf.replay().collect::<Vec<_>>(),
-            rebuilt.replay().collect::<Vec<_>>()
-        );
-
-        // A truncated sparse lane must be rejected, not replayed as garbage.
-        let mut short_mem = mem_addr.to_vec();
-        short_mem.pop();
-        assert!(TraceBuffer::from_lanes(
-            pc.to_vec(),
-            uop.to_vec(),
-            value.to_vec(),
-            meta.to_vec(),
-            short_mem,
-            mem_size.to_vec(),
-            br_target.to_vec(),
-            asid.to_vec(),
-        )
-        .is_err());
-        // Dense lane length mismatch likewise.
-        let mut short_pc = pc.to_vec();
-        short_pc.pop();
-        assert!(TraceBuffer::from_lanes(
-            short_pc,
-            uop.to_vec(),
-            value.to_vec(),
-            meta.to_vec(),
-            mem_addr.to_vec(),
-            mem_size.to_vec(),
-            br_target.to_vec(),
-            asid.to_vec(),
-        )
-        .is_err());
-    }
-
-    #[test]
     fn exact_size_cursor() {
         let buf = TraceBuffer::record(&WorkloadSpec::named_demo("len"), 1_234);
         let mut c = buf.replay();
@@ -725,21 +629,6 @@ mod tests {
         let live: Vec<_> = TraceGenerator::new(&spec).take(buf.len()).collect();
         let replayed: Vec<_> = buf.replay().collect();
         assert_eq!(live, replayed, "wrong-path replay diverged");
-        // The marker round-trips through the lane encoding.
-        let (pc, uop, value, meta, mem_addr, mem_size, br_target, asid) = buf.lanes();
-        let rebuilt = TraceBuffer::from_lanes(
-            pc.to_vec(),
-            uop.to_vec(),
-            value.to_vec(),
-            meta.to_vec(),
-            mem_addr.to_vec(),
-            mem_size.to_vec(),
-            br_target.to_vec(),
-            asid.to_vec(),
-        )
-        .expect("valid lanes");
-        assert_eq!(rebuilt.committed_len(), buf.committed_len());
-        assert_eq!(rebuilt.wrong_path_len(), buf.wrong_path_len());
     }
 
     #[test]
@@ -758,36 +647,6 @@ mod tests {
         assert_eq!(buf.asid, vec![0, 1, 0]);
         let asids: Vec<u8> = buf.replay().map(|u| u.asid).collect();
         assert_eq!(asids, vec![0, 1, 0]);
-
-        // And the lane round-trips through from_lanes.
-        let (pc, uop, value, meta, mem_addr, mem_size, br_target, asid) = buf.lanes();
-        let rebuilt = TraceBuffer::from_lanes(
-            pc.to_vec(),
-            uop.to_vec(),
-            value.to_vec(),
-            meta.to_vec(),
-            mem_addr.to_vec(),
-            mem_size.to_vec(),
-            br_target.to_vec(),
-            asid.to_vec(),
-        )
-        .expect("valid lanes");
-        assert_eq!(
-            buf.replay().collect::<Vec<_>>(),
-            rebuilt.replay().collect::<Vec<_>>()
-        );
-        // A truncated ASID lane is rejected.
-        assert!(TraceBuffer::from_lanes(
-            pc.to_vec(),
-            uop.to_vec(),
-            value.to_vec(),
-            meta.to_vec(),
-            mem_addr.to_vec(),
-            mem_size.to_vec(),
-            br_target.to_vec(),
-            vec![0],
-        )
-        .is_err());
     }
 
     #[test]

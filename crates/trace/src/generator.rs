@@ -4,8 +4,9 @@
 //! **Changing the stream this module (or anything it calls) produces for an
 //! unchanged specification — RNG consumption order, pattern sampling, program
 //! construction — requires bumping [`crate::TRACE_STREAM_VERSION`]**, which
-//! salts the persistent trace store's cache key: otherwise recordings made by
-//! the old behaviour would be silently replayed as if nothing changed.
+//! salts [`crate::spec_fingerprint`]: otherwise sweep cells and checkpoints
+//! made under the old behaviour would be silently resumed as if nothing
+//! changed.
 
 use crate::memory::{AddressPattern, AddressState};
 use crate::value::{ValuePattern, ValueState};

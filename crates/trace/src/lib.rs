@@ -41,27 +41,23 @@
 mod bbv;
 mod buffer;
 mod fault;
+mod fingerprint;
 mod generator;
 mod memory;
 mod mix;
 mod spec;
-mod store;
 mod value;
 mod workload;
 
 pub use bbv::{bbv_distance_sq, profile_slices, SliceBbv, BBV_DIMS};
 pub use buffer::{RangeError, TraceBuffer, TraceCursor};
 pub use fault::FaultPlan;
+pub use fingerprint::{fnv1a, spec_fingerprint, FNV_OFFSET_BASIS, TRACE_STREAM_VERSION};
 pub use generator::TraceGenerator;
 pub use memory::{AddressPattern, AddressState};
 pub use mix::{MixGenerator, MixSpec, MAX_MIX_CONTEXTS};
 pub use spec::{
     all_spec_benchmarks, benchmark_class, spec_benchmark, BenchClass, SPEC_BENCHMARK_NAMES,
-};
-pub use store::{
-    decode_trace, encode_trace, encode_trace_key, fnv1a, spec_fingerprint, DecodedTrace,
-    StoreError, SweepStats, TraceKey, TraceStore, FNV_OFFSET_BASIS, TRACE_FORMAT_VERSION,
-    TRACE_MAGIC, TRACE_STREAM_VERSION,
 };
 pub use value::{ValuePattern, ValueProfile, ValueState};
 pub use workload::{

@@ -28,8 +28,8 @@
 //! burst is never orphaned on the far side of a context switch.
 
 use crate::buffer::TraceBuffer;
+use crate::fingerprint::mix_seed;
 use crate::generator::TraceGenerator;
-use crate::store::{mix_fingerprint, mix_seed};
 use crate::workload::WorkloadSpec;
 use bebop_isa::{DynUop, SeqNum};
 
@@ -41,7 +41,7 @@ pub const MAX_MIX_CONTEXTS: usize = 254;
 /// time-sharing one simulated core, interleaved round-robin by fetch quantum.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MixSpec {
-    /// Human-readable mix name (reports, trace-store file stems).
+    /// Human-readable mix name (reports).
     pub name: String,
     /// Committed µ-ops each context runs for before the next takes over.
     pub quantum: u64,
@@ -77,14 +77,8 @@ impl MixSpec {
         MixSpec::new(name, quantum, vec![a, b])
     }
 
-    /// A stable fingerprint of the whole mix (quantum + every context's
-    /// [`crate::spec_fingerprint`]), the trace-store cache key of its
-    /// recordings.
-    pub fn fingerprint(&self) -> u64 {
-        mix_fingerprint(self)
-    }
-
-    /// The folded seed recorded in this mix's trace-file headers.
+    /// The folded seed of the mix: an order-sensitive fold of the quantum
+    /// and every context's seed.
     pub fn seed(&self) -> u64 {
         mix_seed(self)
     }
@@ -269,18 +263,18 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_cover_every_mix_parameter() {
+    fn seed_folds_the_quantum_and_every_context_seed_in_order() {
         let base = MixSpec::pair(100, spec_benchmark("171.swim"), spec_benchmark("429.mcf"));
-        let fp = base.fingerprint();
+        let seed = base.seed();
         let mut requantumed = base.clone();
         requantumed.quantum = 200;
-        assert_ne!(fp, requantumed.fingerprint());
+        assert_ne!(seed, requantumed.seed());
         let reordered = MixSpec::pair(100, spec_benchmark("429.mcf"), spec_benchmark("171.swim"));
-        assert_ne!(fp, reordered.fingerprint());
-        let mut respecced = base.clone();
-        respecced.contexts[0].seed ^= 1;
-        assert_ne!(fp, respecced.fingerprint());
-        assert_eq!(fp, base.clone().fingerprint());
+        assert_ne!(seed, reordered.seed());
+        let mut reseeded = base.clone();
+        reseeded.contexts[0].seed ^= 1;
+        assert_ne!(seed, reseeded.seed());
+        assert_eq!(seed, base.clone().seed());
     }
 
     #[test]

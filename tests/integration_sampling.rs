@@ -16,7 +16,7 @@ use std::sync::Mutex;
 
 use bebop::{configs, par, run_one, PipelineConfig, PredictorKind};
 use bebop_bench::sampling::{run_sampled, run_sampled_with, SamplingConfig};
-use bebop_bench::{workloads, TraceCachePolicy, TraceStore};
+use bebop_bench::workloads;
 
 /// `par::set_threads` is process-global; tests that change it must not
 /// interleave with each other (the harness runs tests on multiple threads).
@@ -41,9 +41,9 @@ fn dvtage_within_declared_bounds_on_every_benchmark_serial_and_par() {
     });
 
     par::set_threads(1);
-    let serial = run_sampled(&specs, uops, &cfg, &TraceCachePolicy::default(), None);
+    let serial = run_sampled(&specs, uops, &cfg);
     par::set_threads(0);
-    let parallel = run_sampled(&specs, uops, &cfg, &TraceCachePolicy::default(), None);
+    let parallel = run_sampled(&specs, uops, &cfg);
 
     assert_eq!(
         serial.rows, parallel.rows,
@@ -89,15 +89,7 @@ fn every_predictor_kind_within_declared_bounds_on_the_subset() {
     ];
     for kind in &kinds {
         let goldens = par::par_map(&specs, |s| run_one(s, &pipe(), kind, uops));
-        let out = run_sampled_with(
-            &specs,
-            uops,
-            &cfg,
-            &pipe(),
-            kind,
-            &TraceCachePolicy::default(),
-            None,
-        );
+        let out = run_sampled_with(&specs, uops, &cfg, &pipe(), kind);
         assert!(out.simulated_uops * 5 <= out.full_uops);
         for (row, golden) in out.rows.iter().zip(&goldens) {
             let violations = row.sampled.bound_violations(golden);
@@ -123,10 +115,7 @@ fn phase_tables_weights_and_stats_bit_identical_across_thread_counts() {
     let mut outcomes = Vec::new();
     for threads in [1usize, 2, 8, 0] {
         par::set_threads(threads);
-        outcomes.push((
-            threads,
-            run_sampled(&specs, uops, &cfg, &TraceCachePolicy::default(), None),
-        ));
+        outcomes.push((threads, run_sampled(&specs, uops, &cfg)));
     }
     par::set_threads(0);
     let (_, reference) = &outcomes[0];
@@ -145,44 +134,6 @@ fn phase_tables_weights_and_stats_bit_identical_across_thread_counts() {
         assert_eq!(row.per_phase.len(), row.phases);
         assert!((row.weights.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
-}
-
-/// A re-run that replays traces out of the persistent store must reproduce
-/// the from-scratch run bit-for-bit: same phase tables, same weights, same
-/// sampled statistics — the store is a cache, never an input.
-#[test]
-fn rerun_from_the_trace_store_is_bit_identical() {
-    let dir = std::env::temp_dir().join(format!("bebop-sampling-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = TraceStore::open(&dir).expect("open trace store");
-    let specs = workloads(true);
-    let uops = 30_000;
-    let cfg = SamplingConfig::for_budget(uops);
-
-    let cold = run_sampled(
-        &specs,
-        uops,
-        &cfg,
-        &TraceCachePolicy::default(),
-        Some(&store),
-    );
-    assert_eq!(cold.recorded_traces, specs.len());
-    assert_eq!(cold.loaded_traces, 0);
-
-    let warm = run_sampled(
-        &specs,
-        uops,
-        &cfg,
-        &TraceCachePolicy::default(),
-        Some(&store),
-    );
-    assert_eq!(warm.loaded_traces, specs.len());
-    assert_eq!(warm.recorded_traces, 0);
-    assert_eq!(warm.generated_uops, 0);
-
-    assert_eq!(cold.rows, warm.rows);
-    assert_eq!(cold.simulated_uops, warm.simulated_uops);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Two invocations of the `figures` binary in `--sample` mode must agree on

@@ -8,7 +8,7 @@
 
 use bebop::{configs, PredictorKind};
 use bebop_bench::sweep::{run_sweep_jobs, CellStatus, ReasonKind, SweepOptions, SweepRequest};
-use bebop_bench::{FaultPlan, TraceStore};
+use bebop_bench::FaultPlan;
 use bebop_trace::WorkloadSpec;
 use bebop_uarch::PipelineConfig;
 use rand::rngs::SmallRng;
@@ -56,7 +56,7 @@ fn tiny_request() -> SweepRequest {
 fn uninterrupted_sweep_completes_and_is_idempotent() {
     let dir = tmp_dir("baseline");
     let req = tiny_request();
-    let out = run_sweep_jobs(&req, &dir, None, &SweepOptions::default()).expect("sweep");
+    let out = run_sweep_jobs(&req, &dir, &SweepOptions::default()).expect("sweep");
     assert_eq!((out.total, out.resumed, out.executed), (9, 0, 9));
     assert_eq!(out.resimulated, 0);
     assert!(out.complete);
@@ -68,7 +68,7 @@ fn uninterrupted_sweep_completes_and_is_idempotent() {
 
     // A second run over the same directory resumes everything, simulates
     // nothing, and rewrites the identical ledger.
-    let again = run_sweep_jobs(&req, &dir, None, &SweepOptions::default()).expect("resume");
+    let again = run_sweep_jobs(&req, &dir, &SweepOptions::default()).expect("resume");
     assert_eq!((again.resumed, again.executed), (9, 0));
     assert_eq!(again.simulated_uops, 0);
     assert_eq!(fs::read(&ledger).unwrap(), bytes);
@@ -89,7 +89,7 @@ fn killed_and_resumed_sweep_recovers_to_the_identical_ledger() {
 
     // Reference: one uninterrupted run.
     let ref_dir = tmp_dir("kill-ref");
-    let ref_out = run_sweep_jobs(&req, &ref_dir, None, &SweepOptions::default()).expect("ref");
+    let ref_out = run_sweep_jobs(&req, &ref_dir, &SweepOptions::default()).expect("ref");
     let ref_bytes = fs::read(ref_out.ledger_path.as_ref().unwrap()).unwrap();
 
     for seed in [1u64, 7, 42] {
@@ -101,7 +101,6 @@ fn killed_and_resumed_sweep_recovers_to_the_identical_ledger() {
         let partial = run_sweep_jobs(
             &req,
             &dir,
-            None,
             &SweepOptions {
                 max_cells: Some(survivors),
                 ..SweepOptions::default()
@@ -126,7 +125,7 @@ fn killed_and_resumed_sweep_recovers_to_the_identical_ledger() {
 
         // Phase 2: resume to completion. Only in-flight work re-runs: the
         // torn record (if any) is lost, every fully journaled cell survives.
-        let resumed = run_sweep_jobs(&req, &dir, None, &SweepOptions::default()).expect("resume");
+        let resumed = run_sweep_jobs(&req, &dir, &SweepOptions::default()).expect("resume");
         assert_eq!(
             resumed.resumed,
             survivors - lost,
@@ -147,7 +146,7 @@ fn killed_and_resumed_sweep_recovers_to_the_identical_ledger() {
         );
 
         // Phase 3: one more resume finds nothing to do.
-        let done = run_sweep_jobs(&req, &dir, None, &SweepOptions::default()).expect("idempotent");
+        let done = run_sweep_jobs(&req, &dir, &SweepOptions::default()).expect("idempotent");
         assert_eq!((done.resumed, done.executed), (9, 0));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -155,26 +154,17 @@ fn killed_and_resumed_sweep_recovers_to_the_identical_ledger() {
 }
 
 #[test]
-fn faulty_store_and_poisoned_job_degrade_without_losing_the_sweep() {
+fn poisoned_job_is_quarantined_without_losing_the_sweep() {
     let req = tiny_request();
-    let dir = tmp_dir("faulty");
-    let store_dir = tmp_dir("faulty-store");
-    let mut store = TraceStore::open(&store_dir).expect("open store");
-    store.set_faults(
-        FaultPlan::seeded(3)
-            .with_read_errors(4)
-            .with_write_errors(4)
-            .with_short_reads(5)
-            .with_corruption(5),
-    );
+    let dir = tmp_dir("poisoned");
 
     // Job 4 is poisoned: it must be quarantined, not abort the run.
     let opts = SweepOptions {
-        faults: Some(FaultPlan::seeded(3).with_panic_job(4)),
+        faults: Some(FaultPlan::default().with_panic_job(4)),
         ..SweepOptions::default()
     };
-    let out = run_sweep_jobs(&req, &dir, Some(&store), &opts).expect("faulty sweep");
-    assert!(out.complete, "faults must degrade, never lose the sweep");
+    let out = run_sweep_jobs(&req, &dir, &opts).expect("poisoned sweep");
+    assert!(out.complete, "a poisoned job must never lose the sweep");
     assert_eq!(out.executed, 9);
     assert_eq!(out.quarantined.len(), 1, "exactly the poisoned job");
     assert_eq!(out.quarantined[0].1, ReasonKind::Panic);
@@ -191,16 +181,14 @@ fn faulty_store_and_poisoned_job_degrade_without_losing_the_sweep() {
     assert!(out.quarantined[0].0.contains("Small_4p"));
     assert!(out.ledger_path.is_some());
 
-    // Resuming with a healthy store re-runs nothing — quarantine is a
+    // Resuming without the fault plan re-runs nothing — quarantine is a
     // terminal, journaled outcome, not missing work.
-    let healthy = TraceStore::open(&store_dir).expect("reopen");
-    let resumed = run_sweep_jobs(&req, &dir, Some(&healthy), &SweepOptions::default())
-        .expect("resume after faults");
+    let resumed =
+        run_sweep_jobs(&req, &dir, &SweepOptions::default()).expect("resume after the panic");
     assert_eq!((resumed.resumed, resumed.executed), (9, 0));
     assert_eq!(resumed.quarantined.len(), 1);
 
     let _ = fs::remove_dir_all(&dir);
-    let _ = fs::remove_dir_all(&store_dir);
 }
 
 #[test]
@@ -212,11 +200,11 @@ fn stalled_cell_is_timed_out_by_the_watchdog_and_only_it() {
     // progress, so the watchdog must cancel it within the cell timeout while
     // every other cell completes normally.
     let opts = SweepOptions {
-        faults: Some(FaultPlan::seeded(11).with_stall_job(5)),
+        faults: Some(FaultPlan::default().with_stall_job(5)),
         cell_timeout: Some(std::time::Duration::from_millis(100)),
         ..SweepOptions::default()
     };
-    let out = run_sweep_jobs(&req, &dir, None, &opts).expect("stalled sweep");
+    let out = run_sweep_jobs(&req, &dir, &opts).expect("stalled sweep");
     assert!(
         out.complete,
         "a timed-out cell is terminal, not missing work"
@@ -237,7 +225,7 @@ fn stalled_cell_is_timed_out_by_the_watchdog_and_only_it() {
     );
 
     // The timeout is journaled distinctly from a panic and survives resume.
-    let resumed = run_sweep_jobs(&req, &dir, None, &SweepOptions::default()).expect("resume");
+    let resumed = run_sweep_jobs(&req, &dir, &SweepOptions::default()).expect("resume");
     assert_eq!((resumed.resumed, resumed.executed), (9, 0));
     assert_eq!(resumed.quarantined.len(), 1);
     assert_eq!(resumed.quarantined[0].1, ReasonKind::Timeout);
@@ -251,11 +239,10 @@ fn sweep_cells_checkpoint_and_produce_identical_ledgers() {
     let req = tiny_request();
     let plain_dir = tmp_dir("ckpt-plain");
     let ckpt_dir = tmp_dir("ckpt-on");
-    let plain = run_sweep_jobs(&req, &plain_dir, None, &SweepOptions::default()).expect("plain");
+    let plain = run_sweep_jobs(&req, &plain_dir, &SweepOptions::default()).expect("plain");
     let ckpt = run_sweep_jobs(
         &req,
         &ckpt_dir,
-        None,
         &SweepOptions {
             // Far smaller than the budget, so every cell snapshots repeatedly.
             checkpoint_every: 256,
@@ -286,7 +273,7 @@ fn sweep_cells_checkpoint_and_produce_identical_ledgers() {
 fn mismatched_sweep_directories_are_refused() {
     let dir = tmp_dir("mismatch");
     let req = tiny_request();
-    run_sweep_jobs(&req, &dir, None, &SweepOptions::default()).expect("first sweep");
+    run_sweep_jobs(&req, &dir, &SweepOptions::default()).expect("first sweep");
 
     // Same directory, different grid (budget changed → every JobKey changed):
     // the manifest check must refuse to mix the two result sets.
@@ -294,7 +281,7 @@ fn mismatched_sweep_directories_are_refused() {
         uops: UOPS + 1,
         ..tiny_request()
     };
-    let err = run_sweep_jobs(&other, &dir, None, &SweepOptions::default())
+    let err = run_sweep_jobs(&other, &dir, &SweepOptions::default())
         .expect_err("a different sweep must be refused");
     assert!(err.to_string().contains("manifest mismatch"), "{err}");
     let _ = fs::remove_dir_all(&dir);
@@ -307,7 +294,6 @@ fn garbage_in_the_journal_is_salvaged_not_trusted() {
     let partial = run_sweep_jobs(
         &req,
         &dir,
-        None,
         &SweepOptions {
             max_cells: Some(3),
             ..SweepOptions::default()
@@ -322,7 +308,7 @@ fn garbage_in_the_journal_is_salvaged_not_trusted() {
     bytes.extend_from_slice(b"not a record at all\nC 012345");
     fs::write(&journal, &bytes).unwrap();
 
-    let out = run_sweep_jobs(&req, &dir, None, &SweepOptions::default()).expect("resume");
+    let out = run_sweep_jobs(&req, &dir, &SweepOptions::default()).expect("resume");
     assert_eq!(out.resumed, 3, "valid records before the garbage survive");
     assert!(out.salvaged_bytes > 0, "the garbage tail must be truncated");
     assert!(out.complete);

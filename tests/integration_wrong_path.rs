@@ -3,9 +3,8 @@
 //! Two families of guarantees:
 //!
 //! 1. **Replay fidelity for wrong-path traces**: a wrong-path-enabled
-//!    workload must simulate bit-identically from the live generator, from a
-//!    [`TraceBuffer`] replay, and from a trace-store round trip — for every
-//!    built-in predictor kind, under the strictest (polluting) wrong-path
+//!    workload must simulate bit-identically from the live generator and from
+//!    a [`TraceBuffer`] replay — for every built-in predictor kind, under the strictest (polluting) wrong-path
 //!    pipeline configuration. This is what lets the `--wrong-path` experiment
 //!    use the shared-trace harness at all.
 //! 2. **Wrong-path-off regression**: with the mode off, the trace stream and
@@ -14,10 +13,9 @@
 //!    mode existed.
 
 use bebop::{
-    configs, run_source, PipelineConfig, PredictorKind, TraceBuffer, TraceStore, UopSource,
-    WorkloadSpec,
+    configs, run_source, PipelineConfig, PredictorKind, TraceBuffer, UopSource, WorkloadSpec,
 };
-use bebop_trace::{decode_trace, encode_trace, TraceGenerator};
+use bebop_trace::TraceGenerator;
 
 const UOPS: u64 = 20_000;
 
@@ -55,26 +53,10 @@ fn wrong_path_replay_is_bit_identical_for_every_predictor() {
     assert_eq!(buf.committed_len() as u64, UOPS);
     assert!(buf.wrong_path_len() > 0, "bursts must be recorded");
 
-    // Store round trip through the serialised byte format.
-    let decoded = decode_trace(&encode_trace(&spec, &buf)).expect("round trip");
-    assert_eq!(decoded.buffer.wrong_path_len(), buf.wrong_path_len());
-
     for kind in all_kinds() {
         let live = run_source(UopSource::Live(&spec), &wp_pipeline(), &kind, UOPS);
         let replayed = run_source(UopSource::Replay(&buf), &wp_pipeline(), &kind, UOPS);
-        let stored = run_source(
-            UopSource::Replay(&decoded.buffer),
-            &wp_pipeline(),
-            &kind,
-            UOPS,
-        );
         assert_eq!(live, replayed, "{} diverged under replay", kind.label());
-        assert_eq!(
-            live,
-            stored,
-            "{} diverged through the store format",
-            kind.label()
-        );
         assert_eq!(live.uops, UOPS, "{}: budget counts committed", kind.label());
         assert!(
             live.wrong_path.fetched > 0,
@@ -82,26 +64,6 @@ fn wrong_path_replay_is_bit_identical_for_every_predictor() {
             kind.label()
         );
     }
-}
-
-#[test]
-fn wrong_path_store_round_trips_through_a_directory_store() {
-    let dir = std::env::temp_dir().join(format!("bebop-wp-int-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = TraceStore::open(&dir).expect("open");
-    let spec = wp_spec();
-    let (cold, was_hit) = store.load_or_record(&spec, UOPS);
-    assert!(!was_hit);
-    let warm = store.load(&spec, UOPS).expect("warm hit");
-    for kind in [
-        PredictorKind::DVtage,
-        PredictorKind::BlockDVtage(configs::medium()),
-    ] {
-        let a = run_source(UopSource::Replay(&cold), &wp_pipeline(), &kind, UOPS);
-        let b = run_source(UopSource::Replay(&warm), &wp_pipeline(), &kind, UOPS);
-        assert_eq!(a, b, "{} diverged through the store", kind.label());
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
