@@ -8,20 +8,23 @@ use bebop_bench::{
 
 fn main() {
     let set = TraceSet::build(&workloads(true), BENCH_UOPS, &TraceCachePolicy::default());
-    println!("[bench] Figure 5a: predictors over Baseline_6_60 ({BENCH_UOPS} uops)");
-    for (label, results) in run_fig5a(&set, BENCH_UOPS).groups {
-        println!(
-            "{}",
-            format_summary(&label, &SpeedupSummary::from_results(&results))
-        );
+    let figures = [
+        (
+            "Figure 5a: predictors over Baseline_6_60",
+            run_fig5a(&set, BENCH_UOPS),
+        ),
+        (
+            "Figure 5b: EOLE_4_60 over Baseline_VP_6_60",
+            run_fig5b(&set, BENCH_UOPS),
+        ),
+    ];
+    for (title, out) in figures {
+        println!("[bench] {title} ({BENCH_UOPS} uops)");
+        for (label, results) in out.groups {
+            println!(
+                "{}",
+                format_summary(&label, &SpeedupSummary::from_results(&results))
+            );
+        }
     }
-    println!("[bench] Figure 5b: EOLE_4_60 over Baseline_VP_6_60");
-    let results = run_fig5b(&set, BENCH_UOPS);
-    println!(
-        "{}",
-        format_summary(
-            "EOLE_4_60 w/ D-VTAGE",
-            &SpeedupSummary::from_results(&results)
-        )
-    );
 }

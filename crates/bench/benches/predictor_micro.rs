@@ -6,7 +6,7 @@
 //! cargo bench -p bebop-bench --bench predictor_micro
 //! ```
 
-use bebop::{configs, run_one, PredictorKind};
+use bebop::{configs, PredictorKind, Run, UopSource};
 use bebop_trace::spec_benchmark;
 use bebop_uarch::PipelineConfig;
 use std::time::Instant;
@@ -58,7 +58,7 @@ fn main() {
     ];
     for (name, pipe, pred) in cases {
         bench(name, uops, || {
-            let stats = run_one(&spec, &pipe, &pred, uops);
+            let stats = Run::new(UopSource::Live(&spec), &pipe, &pred, uops).stats();
             assert_eq!(stats.uops, uops);
         });
     }

@@ -508,10 +508,6 @@ fn write_json(
 }
 
 fn main() {
-    // Ctrl-C / SIGTERM set a flag the simulation loops poll: in-flight cells
-    // write a final checkpoint, the journal keeps every completed cell, and
-    // the run exits cleanly for `--resume` to continue.
-    bebop::install_shutdown_handler();
     let opts = parse_args();
     bebop::par::set_threads(opts.threads);
     let specs = workloads(opts.subset);
@@ -590,15 +586,13 @@ fn main() {
 
     if wants(&opts, "fig5b") {
         timed(&mut report, "fig5b", || {
-            let results = run_fig5b(&set, uops);
-            let summary = SpeedupSummary::from_results(&results);
-            println!("\n=== Figure 5b: EOLE_4_60 (D-VTAGE) over Baseline_VP_6_60 ===");
-            println!("{}", format_summary("EOLE_4_60 w/ D-VTAGE", &summary));
-            print!("{}", format_per_bench(&results));
-            results
-                .iter()
-                .map(|r| r.baseline.uops + r.variant.uops)
-                .sum()
+            let out = run_fig5b(&set, uops);
+            print_grouped(
+                "Figure 5b: EOLE_4_60 (D-VTAGE) over Baseline_VP_6_60",
+                &out.groups,
+                true,
+            );
+            out.simulated_uops
         });
     }
 
@@ -870,6 +864,12 @@ fn main() {
 
     let mut sweep_agg = SweepAgg::default();
     if let Some(dir) = &opts.sweep_dir {
+        // Ctrl-C / SIGTERM set a flag the sweep polls: in-flight cells write
+        // a final checkpoint, the journal keeps every completed cell, and the
+        // run exits cleanly for `--resume` to continue. Only the sweep polls
+        // the flag, so the experiments before it keep the default action and
+        // die on the signal.
+        bebop::install_shutdown_handler();
         let dir = std::path::PathBuf::from(dir);
         // Starting over an existing sweep must be a conscious decision: an
         // accidental re-launch into a half-finished directory is exactly the

@@ -24,8 +24,8 @@
 #![warn(missing_docs)]
 
 use bebop::{
-    configs, par, run_source, run_source_with, BenchResult, PredictorKind, SimStats,
-    SpeedupSummary, UopSource,
+    configs, par, BenchResult, PredictorKind, Run, RunOutcome, RunReport, SimStats, SpeedupSummary,
+    UopSource,
 };
 use bebop_trace::{all_spec_benchmarks, MixSpec, TraceBuffer, WorkloadSpec};
 use bebop_uarch::{PipelineConfig, SharingPolicy};
@@ -95,32 +95,6 @@ pub fn format_per_bench(results: &[BenchResult]) -> String {
     out
 }
 
-/// Runs every workload of the set under both configurations and returns the
-/// per-benchmark comparison, fanned out across cores. The trace-sharing
-/// counterpart of [`bebop::compare`]: each simulation replays the set's shared
-/// recording instead of regenerating the workload.
-pub fn compare_traced(
-    set: &TraceSet,
-    baseline_pipeline: &PipelineConfig,
-    baseline_predictor: &PredictorKind,
-    variant_pipeline: &PipelineConfig,
-    variant_predictor: &PredictorKind,
-    max_uops: u64,
-) -> Vec<BenchResult> {
-    set.assert_covers(max_uops);
-    let idx: Vec<usize> = (0..set.len()).collect();
-    par::par_map(&idx, |&i| BenchResult {
-        name: set.name(i).to_string(),
-        baseline: run_source(
-            set.source(i),
-            baseline_pipeline,
-            baseline_predictor,
-            max_uops,
-        ),
-        variant: run_source(set.source(i), variant_pipeline, variant_predictor, max_uops),
-    })
-}
-
 /// One variant group of a sweep: display label, pipeline and predictor.
 pub type SweepVariant = (String, PipelineConfig, PredictorKind);
 
@@ -141,8 +115,8 @@ pub struct SweepOutcome {
 /// the shared baseline statistics.
 ///
 /// Results are ordering-stable and bit-identical to a serial run (the fan-out
-/// is [`par::par_map`]), and — because replay is bit-identical to live
-/// generation — to the legacy per-config [`bebop::compare`] path as well.
+/// is [`par::par_map`]), and — because the baseline statistics are
+/// deterministic — to one single-variant sweep per group.
 pub fn run_sweep(
     set: &TraceSet,
     baseline_pipeline: &PipelineConfig,
@@ -153,7 +127,7 @@ pub fn run_sweep(
     set.assert_covers(uops);
     let idx: Vec<usize> = (0..set.len()).collect();
     let baselines: Vec<SimStats> = par::par_map(&idx, |&i| {
-        run_source(set.source(i), baseline_pipeline, baseline_predictor, uops)
+        Run::new(set.source(i), baseline_pipeline, baseline_predictor, uops).stats()
     });
 
     let tasks: Vec<(usize, usize)> = (0..variants.len())
@@ -161,7 +135,7 @@ pub fn run_sweep(
         .collect();
     let variant_stats: Vec<SimStats> = par::par_map(&tasks, |&(g, i)| {
         let (_, pipeline, predictor) = &variants[g];
-        run_source(set.source(i), pipeline, predictor, uops)
+        Run::new(set.source(i), pipeline, predictor, uops).stats()
     });
 
     let groups = variants
@@ -207,31 +181,17 @@ pub fn run_fig5a(set: &TraceSet, uops: u64) -> SweepOutcome {
 }
 
 /// Figure 5b: EOLE_4_60 with instruction-based D-VTAGE over Baseline_VP_6_60.
-pub fn run_fig5b(set: &TraceSet, uops: u64) -> Vec<BenchResult> {
-    compare_traced(
+pub fn run_fig5b(set: &TraceSet, uops: u64) -> SweepOutcome {
+    let variant = (
+        "EOLE_4_60 w/ D-VTAGE".to_string(),
+        PipelineConfig::eole_4_60(),
+        PredictorKind::DVtage,
+    );
+    run_sweep(
         set,
         &PipelineConfig::baseline_vp_6_60(),
         &PredictorKind::DVtage,
-        &PipelineConfig::eole_4_60(),
-        &PredictorKind::DVtage,
-        uops,
-    )
-}
-
-/// Runs one BeBoP block D-VTAGE configuration on EOLE_4_60 against the EOLE_4_60 +
-/// instruction-based D-VTAGE reference (the baseline of Figures 6 and 7).
-pub fn run_bebop_config(
-    set: &TraceSet,
-    cfg: bebop::BlockDVtageConfig,
-    uops: u64,
-) -> Vec<BenchResult> {
-    let eole = PipelineConfig::eole_4_60();
-    compare_traced(
-        set,
-        &eole,
-        &PredictorKind::DVtage,
-        &eole,
-        &PredictorKind::BlockDVtage(cfg),
+        &[variant],
         uops,
     )
 }
@@ -412,7 +372,7 @@ pub fn run_wrong_path(
         .flat_map(|p| (0..set.len()).map(move |i| (p, i)))
         .collect();
     let stats: Vec<SimStats> = par::par_map(&tasks, |&(p, i)| {
-        run_source(set.source(i), &pipes[p], &PredictorKind::DVtage, uops)
+        Run::new(set.source(i), &pipes[p], &PredictorKind::DVtage, uops).stats()
     });
 
     let rows = (0..set.len())
@@ -514,8 +474,17 @@ pub fn run_mix(specs: &[WorkloadSpec], uops: u64) -> MixOutcome {
     let results: Vec<MixPolicyResult> = par::par_map(&tasks, |&(i, p)| {
         let policy = SharingPolicy::ALL[p];
         let pipe = PipelineConfig::baseline_vp_6_60().with_mix(policy);
-        let mut predictor = PredictorKind::BlockDVtage(configs::medium_mix(policy, 2)).build();
-        let stats = run_source_with(UopSource::Replay(&buffers[i]), &pipe, &mut predictor, uops);
+        let kind = PredictorKind::BlockDVtage(configs::medium_mix(policy, 2));
+        let (stats, predictor) =
+            match Run::new(UopSource::Replay(&buffers[i]), &pipe, &kind, uops).execute() {
+                Ok(RunReport {
+                    outcome: RunOutcome::Complete(stats),
+                    predictor,
+                    ..
+                }) => (stats, predictor),
+                // INVARIANT: an unsupervised, uncheckpointed run always completes.
+                _ => unreachable!("an unsupervised run always completes"),
+            };
         assert!(
             stats.context_totals_consistent(),
             "per-context stats of {} under {} do not sum to the aggregate",
@@ -564,7 +533,7 @@ pub fn run_table2(set: &TraceSet, uops: u64) -> Vec<(String, f64)> {
     let baseline = PipelineConfig::baseline_6_60();
     let idx: Vec<usize> = (0..set.len()).collect();
     par::par_map(&idx, |&i| {
-        let stats = run_source(set.source(i), &baseline, &PredictorKind::None, uops);
+        let stats = Run::new(set.source(i), &baseline, &PredictorKind::None, uops).stats();
         (set.name(i).to_string(), stats.inst_ipc())
     })
 }
@@ -609,10 +578,11 @@ mod tests {
     #[test]
     fn formatting_helpers_produce_text() {
         let set = demo_set(&["fmt"], 2_000);
-        let results = run_fig5b(&set, 2_000);
-        let summary = SpeedupSummary::from_results(&results);
+        let out = run_fig5b(&set, 2_000);
+        let results = &out.groups[0].1;
+        let summary = SpeedupSummary::from_results(results);
         assert!(format_summary("x", &summary).contains("gmean"));
-        assert!(format_per_bench(&results).contains("fmt"));
+        assert!(format_per_bench(results).contains("fmt"));
     }
 
     #[test]
@@ -627,7 +597,7 @@ mod tests {
                 assert_eq!(r.variant.uops, uops);
             }
         }
-        for r in run_fig5b(&set, uops) {
+        for r in &run_fig5b(&set, uops).groups[0].1 {
             assert_eq!(r.baseline.uops, uops);
             assert_eq!(r.variant.uops, uops);
         }
@@ -706,16 +676,11 @@ mod tests {
 
     #[test]
     fn sweep_matches_the_legacy_per_config_compare_path() {
-        // The shared-trace, shared-baseline sweep must reproduce exactly what
-        // the legacy path (regenerate + resimulate everything per config)
-        // produced: replay is bit-identical to live generation and the
-        // baseline statistics are deterministic.
+        // Sharing one baseline simulation across every variant group must
+        // reproduce exactly what one independent single-variant sweep per
+        // group (its own baseline simulations) produces.
         let uops = 2_500;
-        let specs: Vec<WorkloadSpec> = ["sw-a", "sw-b"]
-            .iter()
-            .map(|n| WorkloadSpec::named_demo(*n))
-            .collect();
-        let set = TraceSet::build(&specs, uops, &TraceCachePolicy::default());
+        let set = demo_set(&["sw-a", "sw-b"], uops);
         let eole = PipelineConfig::eole_4_60();
         let sweep = configs::stride_sweep();
 
@@ -727,15 +692,9 @@ mod tests {
                 label.starts_with(&legacy_label) && label.ends_with("KB]"),
                 "unexpected stride label {label:?}"
             );
-            let legacy = bebop::compare(
-                &specs,
-                &eole,
-                &PredictorKind::DVtage,
-                &eole,
-                &PredictorKind::BlockDVtage(cfg),
-                uops,
-            );
-            assert_eq!(*results, legacy, "sweep diverged for {label}");
+            let variant = (label.clone(), eole.clone(), PredictorKind::BlockDVtage(cfg));
+            let alone = run_sweep(&set, &eole, &PredictorKind::DVtage, &[variant], uops);
+            assert_eq!(alone.groups, [(label.clone(), results.clone())]);
         }
     }
 
@@ -774,7 +733,10 @@ mod tests {
         let parallel_t2 = run_table2(&set, uops);
         bebop::par::set_threads(0);
 
-        assert_eq!(serial, parallel, "SimStats must match bit-for-bit");
+        assert_eq!(
+            serial.groups, parallel.groups,
+            "SimStats must match bit-for-bit"
+        );
         assert_eq!(serial_t2, parallel_t2);
     }
 }

@@ -11,8 +11,9 @@
 //! 2. [`cluster_slices`] groups the slices into phases with an in-tree,
 //!    dependency-free k-means and picks the slice closest to each centroid as
 //!    the phase representative, weighted by the phase's committed-µop share;
-//! 3. [`bebop::run_slice`] simulates each representative (with a warm-up
-//!    prefix that is simulated but not measured), fanned out over
+//! 3. a [`bebop::Run`] over a [`UopSource::ReplaySlice`] simulates each
+//!    representative (with a warm-up prefix that is simulated but not
+//!    measured), fanned out over
 //!    [`par::par_map`];
 //! 4. [`combine_weighted`] folds the per-phase statistics into weighted
 //!    accuracy / coverage / IPC with per-benchmark confidence intervals.
@@ -25,7 +26,7 @@
 //! reported interval must contain the full-run golden; see
 //! [`SampledMetrics`]).
 
-use bebop::{par, run_slice, PredictorKind, SimStats, TraceBuffer};
+use bebop::{par, PredictorKind, Run, SimStats, TraceBuffer, UopSource};
 use bebop_trace::{fnv1a, profile_slices, SliceBbv, WorkloadSpec, BBV_DIMS, FNV_OFFSET_BASIS};
 use bebop_uarch::PipelineConfig;
 use rand::rngs::SmallRng;
@@ -486,17 +487,11 @@ pub fn run_sampled_with(
     let phase_stats: Vec<SimStats> = par::par_map(&tasks, |&(i, p)| {
         let (slices, clustering) = &clusterings[i];
         let rep = &slices[clustering.phases[p].representative];
-        run_slice(
-            &buffers[i],
-            pipeline,
-            predictor,
-            rep.start,
-            rep.end,
-            cfg.warmup_uops,
-        )
-        // INVARIANT: `profile_slices` produces only valid slice windows
-        // (committed starts, in-bounds tiling of the recording).
-        .expect("profiled slices are valid replay windows")
+        let slice = UopSource::replay_slice(&buffers[i], rep.start, rep.end, cfg.warmup_uops)
+            // INVARIANT: `profile_slices` produces only valid slice windows
+            // (committed starts, in-bounds tiling of the recording).
+            .expect("profiled slices are valid replay windows");
+        Run::new(slice, pipeline, predictor, u64::MAX).stats()
     });
 
     let mut rows = Vec::with_capacity(specs.len());

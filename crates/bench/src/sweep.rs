@@ -21,7 +21,7 @@
 //!   whole-file checksum: byte-identical no matter how many times the sweep
 //!   was killed and resumed on the way there.
 //! * Every job runs panic-isolated (`catch_unwind` around
-//!   [`bebop::run_source_resumable`]); a poisoned configuration is
+//!   [`bebop::Run::execute`]); a poisoned configuration is
 //!   *quarantined* (recorded with a reason, reported, excluded from
 //!   aggregates) instead of aborting the sweep. Transient journal and ledger
 //!   write errors are retried with exponential backoff and counted in the
@@ -52,8 +52,8 @@
 
 use crate::SweepVariant;
 use bebop::{
-    configs, panic_reason, par, run_source_resumable, shutdown_requested, PredictorKind,
-    ResumeOptions, RunControl, RunOutcome, SimStats, UopSource,
+    configs, panic_reason, par, shutdown_requested, PredictorKind, Run, RunControl, RunOutcome,
+    SimStats, UopSource,
 };
 use bebop_trace::{
     fnv1a, spec_fingerprint, FaultPlan, TraceBuffer, WorkloadSpec, FNV_OFFSET_BASIS,
@@ -862,18 +862,22 @@ pub fn run_sweep_jobs(
             let ckpt_path = (opts.checkpoint_every > 0)
                 .then(|| dir.join("ckpt").join(format!("{:016x}.bbpckpt", job.key.0)));
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_source_resumable(
-                    UopSource::Replay(buffer_of[&job.workload]),
-                    pipeline,
-                    predictor,
-                    req.uops,
-                    ResumeOptions {
-                        checkpoint_path: ckpt_path.as_deref(),
-                        checkpoint_every: opts.checkpoint_every,
-                        control: Some(&controls[i]),
-                        react_to_signals: true,
-                    },
-                )
+                Run {
+                    checkpoint_path: ckpt_path.as_deref(),
+                    checkpoint_every: opts.checkpoint_every,
+                    control: Some(&controls[i]),
+                    react_to_signals: true,
+                    ..Run::new(
+                        UopSource::Replay(buffer_of[&job.workload]),
+                        pipeline,
+                        predictor,
+                        req.uops,
+                    )
+                }
+                .execute()
+                // INVARIANT: sweep cells replay whole recordings, never
+                // slices, so checkpointing is never refused.
+                .expect("whole-recording runs accept a checkpoint path")
             }));
             match caught {
                 Err(p) => Some(Err((ReasonKind::Panic, panic_reason(p)))),

@@ -211,7 +211,7 @@ impl TraceSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bebop::{run_source, PipelineConfig, PredictorKind};
+    use bebop::{PipelineConfig, PredictorKind, Run};
 
     fn tiny_specs() -> Vec<WorkloadSpec> {
         ["ts-a", "ts-b", "ts-c"]
@@ -310,19 +310,10 @@ mod tests {
         let specs = tiny_specs();
         let cached = TraceSet::build(&specs, 3_000, &TraceCachePolicy::default());
         let streaming = TraceSet::streaming(&specs);
+        let cfg = PipelineConfig::eole_4_60();
         for i in 0..specs.len() {
-            let a = run_source(
-                cached.source(i),
-                &PipelineConfig::eole_4_60(),
-                &PredictorKind::DVtage,
-                3_000,
-            );
-            let b = run_source(
-                streaming.source(i),
-                &PipelineConfig::eole_4_60(),
-                &PredictorKind::DVtage,
-                3_000,
-            );
+            let a = Run::new(cached.source(i), &cfg, &PredictorKind::DVtage, 3_000).stats();
+            let b = Run::new(streaming.source(i), &cfg, &PredictorKind::DVtage, 3_000).stats();
             assert_eq!(a, b, "replay diverged for {}", cached.name(i));
         }
     }

@@ -1,14 +1,13 @@
-//! The simulation driver: a façade tying workloads, the pipeline model and value
-//! predictors together, used by the examples, the integration tests and the
-//! benchmark harness that regenerates the paper's figures.
+//! The pieces a simulation run is assembled from: the predictor kinds, the
+//! µ-op sources, and the per-benchmark comparison results the paper's
+//! figures aggregate. The run itself is [`crate::Run`].
 
 use crate::block_dvtage::{BlockDVtage, BlockDVtageConfig};
-use crate::par;
 use bebop_isa::DynUop;
 use bebop_trace::{RangeError, TraceBuffer, TraceCursor, TraceGenerator, WorkloadSpec};
 use bebop_uarch::{
-    gmean, NoValuePredictor, PerfectValuePredictor, Pipeline, PipelineConfig, PredictCtx, SimStats,
-    SquashInfo, ValuePredictor,
+    gmean, NoValuePredictor, PerfectValuePredictor, PredictCtx, SimStats, SquashInfo,
+    ValuePredictor,
 };
 use bebop_vp::{
     DVtage, LastValuePredictor, StridePredictor, TwoDeltaStridePredictor, Vtage, VtageStrideHybrid,
@@ -98,6 +97,8 @@ impl PredictorKind {
 /// predictors behind `dyn`) while giving the driver a concrete type: the match
 /// below compiles to a jump table and the per-variant bodies inline into the
 /// monomorphised pipeline loop.
+///
+/// [`Pipeline::run`]: bebop_uarch::Pipeline::run
 // One predictor instance exists per simulation run; its inline size is
 // irrelevant next to the indirection a Box per variant would add to every call.
 #[allow(clippy::large_enum_variant)]
@@ -191,59 +192,80 @@ impl ValuePredictor for AnyPredictor {
 
 /// Where a simulation draws its dynamic µ-op stream from.
 ///
-/// The two variants yield bit-identical streams for the same workload (the
+/// `Live` and `Replay` yield bit-identical streams for the same workload (the
 /// `integration_replay` suite asserts `SimStats` equality for every
 /// [`PredictorKind`]); the difference is pure cost. `Live` pays trace
 /// generation inside the simulation loop, which is the right trade for a
 /// one-off run. `Replay` walks a pre-recorded [`TraceBuffer`], which is the
 /// right trade for config sweeps: the buffer is recorded once and shared by
-/// reference across every configuration and worker thread.
+/// reference across every configuration and worker thread. `ReplaySlice` is
+/// one phase-sampling slice of a recording (see [`crate::Run`]).
 #[derive(Debug, Clone, Copy)]
 pub enum UopSource<'a> {
     /// Generate the stream live from the workload specification.
     Live(&'a WorkloadSpec),
     /// Replay a shared pre-recorded trace.
     Replay(&'a TraceBuffer),
-    /// Replay only the `start..end` lane-index sub-range of a shared
-    /// recording — the stream behind a phase-sampling slice run. Construct
-    /// with [`UopSource::replay_slice`], which validates the bounds up front
-    /// (rejecting out-of-bounds ranges and wrong-path-straddling starts with
-    /// a structured [`RangeError`]).
+    /// One phase-sampling slice of a shared recording. A [`crate::Run`] over
+    /// it functionally warms the recording up to `warmup` committed µ-ops
+    /// before `start` (clamped at the recording start), simulates those
+    /// µ-ops in detail, then the `start..end` lane-index measurement window,
+    /// and reports the window's statistics alone. Construct with
+    /// [`UopSource::replay_slice`], which validates the bounds up front.
     ReplaySlice {
         /// The shared recording.
         buf: &'a TraceBuffer,
-        /// First lane index of the slice (a committed µ-op).
+        /// First lane index of the measurement window (a committed µ-op).
         start: usize,
-        /// One-past-last lane index of the slice.
+        /// One-past-last lane index of the measurement window.
         end: usize,
+        /// Committed µ-ops simulated in detail before `start` but not
+        /// reported.
+        warmup: u64,
     },
 }
 
 impl<'a> UopSource<'a> {
-    /// A validated slice-bounded replay source over `buf[start..end]`.
+    /// A validated slice of `buf`: measurement window `start..end` behind
+    /// `warmup` committed µ-ops of detailed warm-up.
     ///
-    /// The errors of [`TraceBuffer::replay_range`] apply: inverted or
-    /// out-of-bounds ranges, empty ranges, and slices starting inside a
-    /// wrong-path burst are rejected here, once, so [`UopSource::stream`]
-    /// can never fail later (e.g. mid-sweep on a worker thread).
+    /// The errors of [`TraceBuffer::replay_range`] apply to `start..end`:
+    /// inverted or out-of-bounds ranges, empty ranges, and slices starting
+    /// inside a wrong-path burst are rejected here, once, so
+    /// [`UopSource::stream`] can never fail later (e.g. mid-sweep on a worker
+    /// thread).
     pub fn replay_slice(
         buf: &'a TraceBuffer,
         start: usize,
         end: usize,
+        warmup: u64,
     ) -> Result<Self, RangeError> {
         buf.replay_range(start, end)?;
-        Ok(UopSource::ReplaySlice { buf, start, end })
+        Ok(UopSource::ReplaySlice {
+            buf,
+            start,
+            end,
+            warmup,
+        })
     }
 
-    /// Opens the µ-op stream at its start.
+    /// Opens the stream the pipeline simulates in detail: the whole stream,
+    /// or for a slice its detailed warm-up followed by its measurement
+    /// window.
     pub fn stream(&self) -> UopStream<'a> {
         match self {
             UopSource::Live(spec) => UopStream::Live(TraceGenerator::new(spec)),
             UopSource::Replay(buf) => UopStream::Replay(buf.replay()),
-            UopSource::ReplaySlice { buf, start, end } => UopStream::Replay(
-                buf.replay_range(*start, *end)
-                    // INVARIANT: the bounds were validated by
-                    // `UopSource::replay_slice` at construction.
+            UopSource::ReplaySlice {
+                buf,
+                start,
+                end,
+                warmup,
+            } => UopStream::Replay(
+                buf.replay_range(buf.warmup_start(*start, *warmup).0, *end)
+                    // INVARIANT: `start..end` was validated by
+                    // `UopSource::replay_slice`, and `warmup_start` only
+                    // widens it to an earlier committed µ-op.
                     .expect("slice bounds validated at construction"),
             ),
         }
@@ -278,85 +300,6 @@ impl Iterator for UopStream<'_> {
     }
 }
 
-/// Runs one µ-op source on one pipeline configuration with one predictor for
-/// `max_uops` µ-ops and returns the statistics.
-pub fn run_source(
-    source: UopSource<'_>,
-    pipeline: &PipelineConfig,
-    predictor: &PredictorKind,
-    max_uops: u64,
-) -> SimStats {
-    let mut p = predictor.build();
-    run_source_with(source, pipeline, &mut p, max_uops)
-}
-
-/// [`run_source`] with a caller-owned predictor instance, for harnesses that
-/// inspect predictor-internal state (sharding counters, window hit rates)
-/// after the run. Behaviour is identical to [`run_source`] for a freshly
-/// built predictor.
-pub fn run_source_with(
-    source: UopSource<'_>,
-    pipeline: &PipelineConfig,
-    predictor: &mut AnyPredictor,
-    max_uops: u64,
-) -> SimStats {
-    Pipeline::new(pipeline.clone()).run(source.stream(), predictor, max_uops)
-}
-
-/// Simulates one phase-sampling slice of a recording and returns the
-/// statistics of the measurement window alone.
-///
-/// The pipeline and predictor start cold at `warmup_uops` *committed* µ-ops
-/// before `start` (clamped to the recording start; the warm-up start is
-/// always itself a committed µ-op), run through the warm-up to populate
-/// caches, branch predictor and value-predictor tables, and then continue
-/// through the measurement window `start..end`. The returned statistics are
-/// the counter delta across the window ([`bebop_uarch::SimStats::delta_since`]
-/// over [`Pipeline::stats_snapshot`]), so warm-up work is simulated but never
-/// reported.
-///
-/// Fails with the structured [`RangeError`] of [`TraceBuffer::replay_range`]
-/// when `start..end` is not a valid slice of the recording.
-pub fn run_slice(
-    buf: &TraceBuffer,
-    pipeline: &PipelineConfig,
-    predictor: &PredictorKind,
-    start: usize,
-    end: usize,
-    warmup_uops: u64,
-) -> Result<SimStats, RangeError> {
-    // Validate the *requested* window first so the caller's bounds — not the
-    // widened warm-up bounds — are what an error reports.
-    buf.replay_range(start, end)?;
-    let (warm_start, warm_committed) = buf.warmup_start(start, warmup_uops);
-    let mut p = predictor.build();
-    let mut pipe = Pipeline::new(pipeline.clone());
-    let mut stream_pos = 0u64;
-    // SMARTS-style staging: the entire prefix before the detailed warm-up is
-    // *functionally* warmed (predictor / branch / cache state only, no cycle
-    // timing, not counted against the detailed-simulation budget), then
-    // `warmup_uops` committed µ-ops run detailed to refill pipeline-local
-    // transients, then the measurement window is the reported delta.
-    if warm_start > 0 {
-        let mut prefix = buf
-            .replay_range(0, warm_start)
-            // INVARIANT: a recording starts on the correct path (bursts only
-            // ever follow a mispredicted branch) and `warmup_start` returns a
-            // committed in-bounds index, so the prefix window is valid.
-            .expect("recording prefix is a valid replay window");
-        pipe.warm_functional(&mut prefix, &mut p, u64::MAX, &mut stream_pos);
-    }
-    let mut stream = buf
-        .replay_range(warm_start, end)
-        // INVARIANT: `warmup_start` only widens a just-validated window and
-        // always lands on a committed µ-op.
-        .expect("warm-up widening of a validated window");
-    pipe.run_segment(&mut stream, &mut p, warm_committed, &mut stream_pos);
-    let warm_snapshot = pipe.stats_snapshot();
-    pipe.run_segment(&mut stream, &mut p, u64::MAX, &mut stream_pos);
-    Ok(pipe.finish(&mut p).delta_since(&warm_snapshot))
-}
-
 /// Renders a panic payload as a one-line reason string (the payload of
 /// `panic!` is a `&str` or `String` in practice; anything else gets a
 /// placeholder rather than a second panic).
@@ -368,35 +311,6 @@ pub fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Runs one workload (generated live) on one pipeline configuration with one
-/// predictor for `max_uops` µ-ops and returns the statistics.
-///
-/// # Example
-///
-/// ```
-/// use bebop::{run_one, PredictorKind};
-/// use bebop_trace::WorkloadSpec;
-/// use bebop_uarch::PipelineConfig;
-///
-/// let spec = WorkloadSpec::named_demo("run-one-demo");
-/// let stats = run_one(
-///     &spec,
-///     &PipelineConfig::baseline_vp_6_60(),
-///     &PredictorKind::DVtage,
-///     5_000,
-/// );
-/// assert_eq!(stats.uops, 5_000);
-/// assert!(stats.uop_ipc() > 0.0);
-/// ```
-pub fn run_one(
-    spec: &WorkloadSpec,
-    pipeline: &PipelineConfig,
-    predictor: &PredictorKind,
-    max_uops: u64,
-) -> SimStats {
-    run_source(UopSource::Live(spec), pipeline, predictor, max_uops)
 }
 
 /// The speedup of one benchmark under a variant configuration relative to a
@@ -469,54 +383,41 @@ impl SpeedupSummary {
         let idx = ((v.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
         v[idx]
     }
-
-    /// The benchmark with the highest speedup.
-    pub fn best(&self) -> Option<&(String, f64)> {
-        self.per_bench.iter().max_by(|a, b| a.1.total_cmp(&b.1))
-    }
-
-    /// The benchmark with the lowest speedup.
-    pub fn worst(&self) -> Option<&(String, f64)> {
-        self.per_bench.iter().min_by(|a, b| a.1.total_cmp(&b.1))
-    }
-}
-
-/// Runs every workload in `specs` under both configurations and returns the
-/// per-benchmark comparison. This is the primitive every figure of the evaluation
-/// is built from.
-///
-/// The per-workload simulations are independent (each owns its predictor and
-/// pipeline instance), so they are fanned out across cores with
-/// [`par::par_map`]; results are ordering-stable and bit-identical to a serial
-/// run (`par::set_threads(1)` forces one).
-pub fn compare(
-    specs: &[WorkloadSpec],
-    baseline_pipeline: &PipelineConfig,
-    baseline_predictor: &PredictorKind,
-    variant_pipeline: &PipelineConfig,
-    variant_predictor: &PredictorKind,
-    max_uops: u64,
-) -> Vec<BenchResult> {
-    par::par_map(specs, |spec| BenchResult {
-        name: spec.name.clone(),
-        baseline: run_one(spec, baseline_pipeline, baseline_predictor, max_uops),
-        variant: run_one(spec, variant_pipeline, variant_predictor, max_uops),
-    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::configs;
+    use crate::{configs, Run};
+    use bebop_uarch::{Pipeline, PipelineConfig};
 
     fn demo() -> WorkloadSpec {
         WorkloadSpec::named_demo("driver-demo")
     }
 
+    /// Every predictor kind, BeBoP in its Medium configuration.
+    pub(crate) fn all_kinds() -> [PredictorKind; 9] {
+        [
+            PredictorKind::None,
+            PredictorKind::Perfect,
+            PredictorKind::LastValue,
+            PredictorKind::Stride,
+            PredictorKind::TwoDeltaStride,
+            PredictorKind::Vtage,
+            PredictorKind::VtageStrideHybrid,
+            PredictorKind::DVtage,
+            PredictorKind::BlockDVtage(configs::medium()),
+        ]
+    }
+
+    fn run(source: UopSource<'_>, cfg: &PipelineConfig, kind: &PredictorKind, n: u64) -> SimStats {
+        Run::new(source, cfg, kind, n).stats()
+    }
+
     #[test]
     fn run_one_produces_stats() {
-        let stats = run_one(
-            &demo(),
+        let stats = run(
+            UopSource::Live(&demo()),
             &PipelineConfig::baseline_6_60(),
             &PredictorKind::None,
             5_000,
@@ -527,19 +428,14 @@ mod tests {
 
     #[test]
     fn every_predictor_kind_builds_and_runs() {
-        let kinds = [
-            PredictorKind::None,
-            PredictorKind::Perfect,
-            PredictorKind::LastValue,
-            PredictorKind::Stride,
-            PredictorKind::TwoDeltaStride,
-            PredictorKind::Vtage,
-            PredictorKind::VtageStrideHybrid,
-            PredictorKind::DVtage,
-            PredictorKind::BlockDVtage(configs::medium()),
-        ];
-        for kind in kinds {
-            let stats = run_one(&demo(), &PipelineConfig::baseline_vp_6_60(), &kind, 2_000);
+        let spec = demo();
+        for kind in all_kinds() {
+            let stats = run(
+                UopSource::Live(&spec),
+                &PipelineConfig::baseline_vp_6_60(),
+                &kind,
+                2_000,
+            );
             assert_eq!(stats.uops, 2_000, "{} failed to run", kind.label());
         }
     }
@@ -547,24 +443,15 @@ mod tests {
     #[test]
     fn replay_source_matches_live_source() {
         let spec = demo();
-        let buf = bebop_trace::TraceBuffer::record(&spec, 8_000);
+        let buf = TraceBuffer::record(&spec, 8_000);
+        let cfg = PipelineConfig::baseline_vp_6_60();
         for kind in [
             PredictorKind::None,
             PredictorKind::DVtage,
             PredictorKind::BlockDVtage(configs::medium()),
         ] {
-            let live = run_source(
-                UopSource::Live(&spec),
-                &PipelineConfig::baseline_vp_6_60(),
-                &kind,
-                8_000,
-            );
-            let replayed = run_source(
-                UopSource::Replay(&buf),
-                &PipelineConfig::baseline_vp_6_60(),
-                &kind,
-                8_000,
-            );
+            let live = run(UopSource::Live(&spec), &cfg, &kind, 8_000);
+            let replayed = run(UopSource::Replay(&buf), &cfg, &kind, 8_000);
             assert_eq!(live, replayed, "{} diverged under replay", kind.label());
         }
     }
@@ -572,14 +459,18 @@ mod tests {
     #[test]
     fn slice_source_replays_exactly_its_window() {
         let spec = demo();
-        let buf = bebop_trace::TraceBuffer::record(&spec, 8_000);
-        let src = UopSource::replay_slice(&buf, 2_000, 5_000).expect("valid slice");
-        let got: Vec<_> = src.stream().collect();
+        let buf = TraceBuffer::record(&spec, 8_000);
         let full: Vec<_> = UopSource::Replay(&buf).stream().collect();
+        let src = UopSource::replay_slice(&buf, 2_000, 5_000, 0).expect("valid slice");
+        let got: Vec<_> = src.stream().collect();
         assert_eq!(got, full[2_000..5_000]);
+        // A detailed warm-up widens the stream backwards by that many µ-ops.
+        let src = UopSource::replay_slice(&buf, 2_000, 5_000, 500).expect("valid slice");
+        let got: Vec<_> = src.stream().collect();
+        assert_eq!(got, full[1_500..5_000]);
         // Invalid bounds surface the structured error at construction.
         assert!(matches!(
-            UopSource::replay_slice(&buf, 0, 9_000),
+            UopSource::replay_slice(&buf, 0, 9_000, 0),
             Err(bebop_trace::RangeError::OutOfBounds { .. })
         ));
     }
@@ -587,23 +478,37 @@ mod tests {
     #[test]
     fn run_slice_reports_the_measurement_window_only() {
         let spec = demo();
-        let buf = bebop_trace::TraceBuffer::record(&spec, 8_000);
+        let buf = TraceBuffer::record(&spec, 8_000);
         let cfg = PipelineConfig::baseline_vp_6_60();
-        let stats = run_slice(&buf, &cfg, &PredictorKind::DVtage, 3_000, 6_000, 1_000)
-            .expect("valid slice");
+        let kind = PredictorKind::DVtage;
+        let slice = |start, end, warmup| {
+            let src = UopSource::replay_slice(&buf, start, end, warmup).expect("valid slice");
+            run(src, &cfg, &kind, u64::MAX)
+        };
+        let stats = slice(3_000, 6_000, 1_000);
         assert_eq!(stats.uops, 3_000, "window µ-ops only");
         assert!(stats.cycles > 0);
+        // The slice semantics spelled out on the bare pipeline: functionally
+        // warm the prefix, simulate the warm-up in detail, report the delta
+        // across the window.
+        let mut pipe = Pipeline::new(cfg.clone());
+        let mut p = kind.build();
+        let mut pos = 0u64;
+        let mut prefix = buf.replay_range(0, 2_000).unwrap();
+        pipe.warm_functional(&mut prefix, &mut p, u64::MAX, &mut pos);
+        let mut detailed = buf.replay_range(2_000, 6_000).unwrap();
+        pipe.run_segment(&mut detailed, &mut p, 1_000, &mut pos);
+        let warm = pipe.stats_snapshot();
+        pipe.run_segment(&mut detailed, &mut p, u64::MAX, &mut pos);
+        assert_eq!(stats, pipe.finish(&mut p).delta_since(&warm));
         // Warm-up clamps at the recording start without failing.
-        let head =
-            run_slice(&buf, &cfg, &PredictorKind::DVtage, 0, 2_000, 1_000).expect("head slice");
-        assert_eq!(head.uops, 2_000);
+        assert_eq!(slice(0, 2_000, 1_000).uops, 2_000);
         // With zero warm-up from position 0, a slice over the whole recording
         // is exactly a full run.
-        let whole = run_slice(&buf, &cfg, &PredictorKind::DVtage, 0, 8_000, 0).unwrap();
-        let full = run_source(UopSource::Replay(&buf), &cfg, &PredictorKind::DVtage, 8_000);
-        assert_eq!(whole, full);
+        let full = run(UopSource::Replay(&buf), &cfg, &kind, 8_000);
+        assert_eq!(slice(0, 8_000, 0), full);
         // Errors are structured, not panics.
-        assert!(run_slice(&buf, &cfg, &PredictorKind::DVtage, 5, 5, 0).is_err());
+        assert!(UopSource::replay_slice(&buf, 5, 5, 0).is_err());
     }
 
     #[test]
@@ -640,24 +545,28 @@ mod tests {
         assert!((summary.max() - 2.0).abs() < 1e-12);
         assert!((summary.min() - 0.5).abs() < 1e-12);
         assert!((summary.gmean() - 1.0).abs() < 1e-12);
-        assert_eq!(summary.best().unwrap().0, "a");
-        assert_eq!(summary.worst().unwrap().0, "b");
         assert!((summary.quantile(0.0) - 0.5).abs() < 1e-12);
         assert!((summary.quantile(1.0) - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn perfect_vp_beats_no_vp_on_the_demo_workload() {
-        let specs = vec![demo()];
-        let results = compare(
-            &specs,
-            &PipelineConfig::baseline_6_60(),
-            &PredictorKind::None,
-            &PipelineConfig::baseline_vp_6_60(),
-            &PredictorKind::Perfect,
-            20_000,
-        );
-        assert_eq!(results.len(), 1);
-        assert!(results[0].speedup() > 1.0);
+        let spec = demo();
+        let result = BenchResult {
+            name: spec.name.clone(),
+            baseline: run(
+                UopSource::Live(&spec),
+                &PipelineConfig::baseline_6_60(),
+                &PredictorKind::None,
+                20_000,
+            ),
+            variant: run(
+                UopSource::Live(&spec),
+                &PipelineConfig::baseline_vp_6_60(),
+                &PredictorKind::Perfect,
+                20_000,
+            ),
+        };
+        assert!(result.speedup() > 1.0);
     }
 }

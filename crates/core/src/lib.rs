@@ -22,27 +22,25 @@
 //! The supporting substrates live in sibling crates: `bebop-isa` (a synthetic
 //! variable-length ISA), `bebop-trace` (36 SPEC-like synthetic workloads),
 //! `bebop-uarch` (a cycle-level superscalar pipeline with TAGE and EOLE) and
-//! `bebop-vp` (the instruction-based predictors of Figure 5a). The driver
-//! layer ([`run_one`], [`compare`], [`PredictorKind`]) glues them together,
-//! and `bebop-bench` regenerates every table and figure of the paper's
-//! evaluation.
+//! `bebop-vp` (the instruction-based predictors of Figure 5a). A [`Run`]
+//! glues them together — a [`UopSource`] on a [`PipelineConfig`] with a
+//! [`PredictorKind`] for a µ-op budget — and `bebop-bench` regenerates every
+//! table and figure of the paper's evaluation from runs.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use bebop::{configs, run_one, PredictorKind};
+//! use bebop::{configs, PredictorKind, Run, UopSource};
 //! use bebop_trace::spec_benchmark;
 //! use bebop_uarch::PipelineConfig;
 //!
 //! // Simulate 171.swim-like workload on the baseline and on EOLE + BeBoP D-VTAGE.
 //! let spec = spec_benchmark("171.swim");
-//! let baseline = run_one(&spec, &PipelineConfig::baseline_6_60(), &PredictorKind::None, 20_000);
-//! let bebop = run_one(
-//!     &spec,
-//!     &PipelineConfig::eole_4_60(),
-//!     &PredictorKind::BlockDVtage(configs::medium()),
-//!     20_000,
-//! );
+//! let source = UopSource::Live(&spec);
+//! let (base_cfg, eole_cfg) = (PipelineConfig::baseline_6_60(), PipelineConfig::eole_4_60());
+//! let baseline = Run::new(source, &base_cfg, &PredictorKind::None, 20_000).stats();
+//! let medium = PredictorKind::BlockDVtage(configs::medium());
+//! let bebop = Run::new(source, &eole_cfg, &medium, 20_000).stats();
 //! assert!(bebop.uop_ipc() > 0.0 && baseline.uop_ipc() > 0.0);
 //! ```
 
@@ -66,14 +64,10 @@ pub use bebop_vp::MAX_TAGGED;
 pub use block_dvtage::{BlockDVtage, BlockDVtageConfig};
 pub use checkpoint::{CheckpointError, SimCheckpoint, CHECKPOINT_FORMAT_VERSION, CHECKPOINT_MAGIC};
 pub use driver::{
-    compare, panic_reason, run_one, run_slice, run_source, run_source_with, AnyPredictor,
-    BenchResult, PredictorKind, SpeedupSummary, UopSource, UopStream,
+    panic_reason, AnyPredictor, BenchResult, PredictorKind, SpeedupSummary, UopSource, UopStream,
 };
 pub use recovery::RecoveryPolicy;
-pub use resume::{
-    run_fingerprint, run_source_resumable, ResumableRun, ResumeOptions, RunControl, RunOutcome,
-    CHUNK_UOPS,
-};
+pub use resume::{run_fingerprint, Run, RunControl, RunError, RunOutcome, RunReport, CHUNK_UOPS};
 pub use shutdown::{install_shutdown_handler, set_shutdown_requested, shutdown_requested};
 pub use spec_window::{
     SlotPredictions, SpecWindowEntry, SpecWindowSize, SpeculativeWindow, MAX_NPRED,

@@ -1,18 +1,15 @@
-//! Resumable, supervised simulation runs.
+//! The single simulation run path.
 //!
-//! [`run_source_resumable`] is [`crate::run_source`] wrapped in the
-//! robustness layer: it periodically snapshots the complete simulation state
-//! to a [`SimCheckpoint`] file, restores from a valid snapshot on startup
-//! (replaying the deterministic µ-op stream up to the snapshot position, so
-//! the resumed run's final `SimStats` are bit-identical to an uninterrupted
-//! run's), publishes a progress heartbeat for watchdog supervision, and
-//! reacts to cooperative cancellation and SIGINT/SIGTERM by writing a final
-//! checkpoint before returning.
-//!
-//! The simulation advances in chunks of [`CHUNK_UOPS`] committed µ-ops
-//! between control-plane checks, so the heartbeat/cancellation/signal
-//! overhead is amortised across ~a thousand µ-ops and the release hot path
-//! is unchanged inside a chunk.
+//! Every simulation — a figure cell, a sampled slice, a supervised sweep
+//! cell — is a [`Run`], and every [`Run`] goes through one loop that
+//! advances the pipeline in chunks of [`CHUNK_UOPS`] committed µ-ops. Between
+//! chunks it publishes a progress heartbeat, honours cooperative
+//! cancellation and SIGINT/SIGTERM, and periodically snapshots the complete
+//! simulation state to a [`SimCheckpoint`] file; on startup it restores a
+//! valid snapshot by replaying the deterministic µ-op stream up to it, so a
+//! resumed run's final `SimStats` are bit-identical to an uninterrupted
+//! run's. Chunking is invisible: an unsupervised run equals one
+//! `Pipeline::run` over the same stream, bit for bit.
 
 use crate::checkpoint::{CheckpointError, SimCheckpoint};
 use crate::driver::{AnyPredictor, PredictorKind, UopSource};
@@ -63,10 +60,44 @@ impl RunControl {
     }
 }
 
-/// Checkpoint/supervision options of a resumable run. `Default` disables
-/// everything, reducing [`run_source_resumable`] to a chunked `run_source`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ResumeOptions<'a> {
+/// One simulation: a µ-op source on one pipeline configuration with one
+/// predictor for a committed-µop budget, optionally checkpointed and
+/// supervised.
+///
+/// [`Run::new`] sets the four simulation values and leaves checkpointing
+/// and supervision off; set the remaining fields with struct-update syntax.
+///
+/// # Example
+///
+/// ```
+/// use bebop::{PredictorKind, Run, RunControl, RunOutcome, UopSource};
+/// use bebop_trace::WorkloadSpec;
+/// use bebop_uarch::PipelineConfig;
+///
+/// let spec = WorkloadSpec::named_demo("run-demo");
+/// let cfg = PipelineConfig::baseline_vp_6_60();
+/// let control = RunControl::new();
+/// let report = Run {
+///     control: Some(&control),
+///     ..Run::new(UopSource::Live(&spec), &cfg, &PredictorKind::DVtage, 2_000)
+/// }
+/// .execute()
+/// .expect("a live run is never refused");
+/// assert!(matches!(report.outcome, RunOutcome::Complete(_)));
+/// assert_eq!(control.committed(), 2_000);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Run<'a> {
+    /// Where the µ-op stream comes from.
+    pub source: UopSource<'a>,
+    /// The pipeline configuration.
+    pub pipeline: &'a PipelineConfig,
+    /// The value predictor, built fresh for the run.
+    pub predictor: &'a PredictorKind,
+    /// Committed µ-ops to simulate; the run also ends when the stream does.
+    /// For a slice source the count starts at the detailed warm-up, so
+    /// `u64::MAX` runs the slice to its end.
+    pub max_uops: u64,
     /// Checkpoint file location. `None` disables persistence entirely.
     pub checkpoint_path: Option<&'a Path>,
     /// Snapshot every this many committed µ-ops (rounded up to chunk
@@ -80,13 +111,14 @@ pub struct ResumeOptions<'a> {
     pub react_to_signals: bool,
 }
 
-/// How a resumable run ended.
+/// How a run ended.
 // One value exists per run, so the size skew between `Complete` and the
 // early-stop variants costs nothing; boxing would only tax every caller.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunOutcome {
-    /// Ran to its µ-op budget; the statistics are final.
+    /// Ran to its µ-op budget or the end of its stream; the statistics are
+    /// final.
     Complete(SimStats),
     /// Stopped early by cooperative cancellation ([`RunControl::cancel`]).
     Cancelled {
@@ -101,9 +133,9 @@ pub enum RunOutcome {
     },
 }
 
-/// The result of [`run_source_resumable`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResumableRun {
+/// The result of [`Run::execute`].
+#[derive(Debug, Clone)]
+pub struct RunReport {
     /// How the run ended.
     pub outcome: RunOutcome,
     /// Committed µ-ops restored from a checkpoint (`None` = from-zero run).
@@ -113,12 +145,34 @@ pub struct ResumableRun {
     /// Why an existing checkpoint file was rejected and discarded, if one
     /// was (`Missing` is not recorded — a first run is not a rejection).
     pub rejected_checkpoint: Option<String>,
+    /// The predictor instance as the run left it, for harnesses that read
+    /// predictor-internal state (sharding counters, window hit rates).
+    pub predictor: AnyPredictor,
 }
+
+/// Why [`Run::execute`] refused a run before simulating anything.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunError {
+    /// A slice source with a checkpoint path: a [`SimCheckpoint`] does not
+    /// carry a slice's warm-up boundary statistics.
+    CheckpointedSlice,
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::CheckpointedSlice => write!(f, "slice runs cannot be checkpointed"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
 
 /// The configuration fingerprint binding a checkpoint to one (source,
 /// pipeline, predictor, budget) tuple. Derived from the workload fingerprint
-/// (or replay-buffer shape) and the `Debug` renderings of the configuration —
-/// exhaustive-by-construction: any config field change re-fingerprints.
+/// (or the recording's content) and the `Debug` renderings of the
+/// configuration — exhaustive-by-construction: any config field change
+/// re-fingerprints.
 pub fn run_fingerprint(
     source: &UopSource<'_>,
     pipeline: &PipelineConfig,
@@ -133,15 +187,19 @@ pub fn run_fingerprint(
         }
         UopSource::Replay(buf) => {
             h = fnv1a(h, b"replay");
-            h = fnv1a(h, &(buf.len() as u64).to_le_bytes());
-            h = fnv1a(h, &(buf.committed_len() as u64).to_le_bytes());
+            h = fnv1a(h, &buf.content_fingerprint().to_le_bytes());
         }
-        UopSource::ReplaySlice { buf, start, end } => {
+        UopSource::ReplaySlice {
+            buf,
+            start,
+            end,
+            warmup,
+        } => {
             h = fnv1a(h, b"slice");
-            h = fnv1a(h, &(buf.len() as u64).to_le_bytes());
-            h = fnv1a(h, &(buf.committed_len() as u64).to_le_bytes());
+            h = fnv1a(h, &buf.content_fingerprint().to_le_bytes());
             h = fnv1a(h, &(*start as u64).to_le_bytes());
             h = fnv1a(h, &(*end as u64).to_le_bytes());
+            h = fnv1a(h, &warmup.to_le_bytes());
         }
     }
     h = fnv1a(h, format!("{pipeline:?}").as_bytes());
@@ -149,30 +207,14 @@ pub fn run_fingerprint(
     fnv1a(h, &max_uops.to_le_bytes())
 }
 
-fn snapshot(
-    fingerprint: u64,
-    pipeline: &Pipeline,
-    predictor: &AnyPredictor,
-    stream_pos: u64,
-) -> SimCheckpoint {
-    SimCheckpoint {
-        fingerprint,
-        committed: pipeline.committed_uops(),
-        stream_pos,
-        pipeline: pipeline.save_state(),
-        predictor: predictor.save_state(),
-    }
-}
-
 /// Attempts to restore `pipeline`/`predictor` from the checkpoint at `path`.
-/// On success returns the stream position to fast-forward to; on any failure
-/// the (possibly partially mutated) components are rebuilt from scratch and
-/// the offending file is discarded.
+/// On success returns the committed count and stream position to
+/// fast-forward to; on any failure the (possibly partially mutated)
+/// components are rebuilt from scratch and the offending file is discarded.
 fn try_restore(
     path: &Path,
     fingerprint: u64,
-    pipeline_cfg: &PipelineConfig,
-    predictor_kind: &PredictorKind,
+    run: &Run<'_>,
     pipeline: &mut Pipeline,
     predictor: &mut AnyPredictor,
 ) -> Result<(u64, u64), Option<String>> {
@@ -195,169 +237,230 @@ fn try_restore(
         Err(e) => {
             // A failed restore may have partially mutated the components:
             // rebuild both from configuration before the from-zero run.
-            *pipeline = Pipeline::new(pipeline_cfg.clone());
-            *predictor = predictor_kind.build();
+            *pipeline = Pipeline::new(run.pipeline.clone());
+            *predictor = run.predictor.build();
             SimCheckpoint::discard(path);
             Err(Some(CheckpointError::Restore(e).to_string()))
         }
     }
 }
 
-/// [`crate::run_source`] with checkpoint/restore, heartbeat supervision and
-/// signal handling. With `ResumeOptions::default()` the behaviour (and the
-/// resulting `SimStats`) is identical to `run_source`.
-///
-/// # Example
-///
-/// ```
-/// use bebop::{run_source_resumable, PredictorKind, ResumeOptions, UopSource};
-/// use bebop_trace::WorkloadSpec;
-/// use bebop_uarch::PipelineConfig;
-///
-/// let spec = WorkloadSpec::named_demo("resume-demo");
-/// let run = run_source_resumable(
-///     UopSource::Live(&spec),
-///     &PipelineConfig::baseline_vp_6_60(),
-///     &PredictorKind::DVtage,
-///     2_000,
-///     ResumeOptions::default(),
-/// );
-/// assert!(matches!(run.outcome, bebop::RunOutcome::Complete(_)));
-/// ```
-pub fn run_source_resumable(
-    source: UopSource<'_>,
-    pipeline_cfg: &PipelineConfig,
-    predictor_kind: &PredictorKind,
-    max_uops: u64,
-    opts: ResumeOptions<'_>,
-) -> ResumableRun {
-    let fingerprint = run_fingerprint(&source, pipeline_cfg, predictor_kind, max_uops);
-    let mut pipeline = Pipeline::new(pipeline_cfg.clone());
-    let mut predictor = predictor_kind.build();
-    let mut stream_pos = 0u64;
-    let mut resumed_from = None;
-    let mut rejected_checkpoint = None;
+impl<'a> Run<'a> {
+    /// An unsupervised, uncheckpointed run of `source` on `pipeline` with a
+    /// fresh `predictor` for `max_uops` committed µ-ops.
+    pub fn new(
+        source: UopSource<'a>,
+        pipeline: &'a PipelineConfig,
+        predictor: &'a PredictorKind,
+        max_uops: u64,
+    ) -> Self {
+        Run {
+            source,
+            pipeline,
+            predictor,
+            max_uops,
+            checkpoint_path: None,
+            checkpoint_every: 0,
+            control: None,
+            react_to_signals: false,
+        }
+    }
 
-    if let Some(path) = opts.checkpoint_path {
-        match try_restore(
-            path,
-            fingerprint,
-            pipeline_cfg,
-            predictor_kind,
-            &mut pipeline,
-            &mut predictor,
-        ) {
-            Ok((committed, pos)) => {
-                stream_pos = pos;
-                resumed_from = Some(committed);
+    /// Executes the run without checkpointing or supervision (those fields
+    /// are ignored) and returns its final statistics.
+    pub fn stats(self) -> SimStats {
+        let plain = Run::new(self.source, self.pipeline, self.predictor, self.max_uops);
+        let Ok(RunOutcome::Complete(stats)) = plain.execute().map(|r| r.outcome) else {
+            // INVARIANT: with no checkpoint path, control or signal polling a
+            // run is never refused and never stops early.
+            unreachable!("an unsupervised run always completes")
+        };
+        stats
+    }
+
+    /// Executes the run: restores from the checkpoint file when a valid one
+    /// exists, then simulates chunk by chunk until the budget, the end of
+    /// the stream, a cancellation or a termination signal.
+    ///
+    /// Refuses (with [`RunError`]) a slice source with a checkpoint path.
+    pub fn execute(&self) -> Result<RunReport, RunError> {
+        let mut pipeline = Pipeline::new(self.pipeline.clone());
+        let mut predictor = self.predictor.build();
+        let mut stream_pos = 0u64;
+        // A slice functionally warms the whole recording before its detailed
+        // warm-up (predictor, branch and cache state only, no cycle timing,
+        // not counted against the budget), then reports only the statistics
+        // gathered past `measure_from` committed µ-ops.
+        let mut measure_from = None;
+        if let UopSource::ReplaySlice {
+            buf, start, warmup, ..
+        } = self.source
+        {
+            if self.checkpoint_path.is_some() {
+                return Err(RunError::CheckpointedSlice);
             }
-            Err(why) => rejected_checkpoint = why,
+            let (warm_start, warm_committed) = buf.warmup_start(start, warmup);
+            if warm_start > 0 {
+                let mut prefix = buf
+                    .replay_range(0, warm_start)
+                    // INVARIANT: a recording starts on the correct path
+                    // (bursts only ever follow a mispredicted branch) and
+                    // `warmup_start` returns a committed in-bounds index, so
+                    // the prefix window is valid.
+                    .expect("recording prefix is a valid replay window");
+                pipeline.warm_functional(&mut prefix, &mut predictor, u64::MAX, &mut stream_pos);
+            }
+            measure_from = Some(warm_committed);
         }
-    }
+        let mut stream = self.source.stream();
 
-    let mut stream = source.stream();
-    // Fast-forward a fresh stream to the snapshot position: generation is
-    // deterministic, so skipping `stream_pos` µ-ops reproduces the exact
-    // stream suffix the interrupted run would have consumed.
-    for _ in 0..stream_pos {
-        if stream.next().is_none() {
-            break;
-        }
-    }
-
-    let mut next_checkpoint_at = if opts.checkpoint_every > 0 {
-        pipeline.committed_uops() + opts.checkpoint_every
-    } else {
-        u64::MAX
-    };
-
-    loop {
-        let committed = pipeline.committed_uops();
-        if let Some(control) = opts.control {
-            control.heartbeat.store(committed, Ordering::Relaxed);
-            if control.cancelled() {
-                if let Some(path) = opts.checkpoint_path {
-                    let _ =
-                        snapshot(fingerprint, &pipeline, &predictor, stream_pos).write_atomic(path);
+        let checkpoint = self.checkpoint_path.map(|path| {
+            let fingerprint =
+                run_fingerprint(&self.source, self.pipeline, self.predictor, self.max_uops);
+            (path, fingerprint)
+        });
+        let mut resumed_from = None;
+        let mut rejected_checkpoint = None;
+        if let Some((path, fingerprint)) = checkpoint {
+            match try_restore(path, fingerprint, self, &mut pipeline, &mut predictor) {
+                Ok((committed, pos)) => {
+                    // Fast-forward the fresh stream to the snapshot position:
+                    // generation is deterministic, so skipping `pos` µ-ops
+                    // reproduces the exact suffix the interrupted run would
+                    // have consumed.
+                    for _ in 0..pos {
+                        if stream.next().is_none() {
+                            break;
+                        }
+                    }
+                    stream_pos = pos;
+                    resumed_from = Some(committed);
                 }
-                return ResumableRun {
-                    outcome: RunOutcome::Cancelled { committed },
-                    resumed_from,
-                    rejected_checkpoint,
+                Err(why) => rejected_checkpoint = why,
+            }
+        }
+        let write_checkpoint = |pipeline: &Pipeline, predictor: &AnyPredictor, stream_pos| {
+            if let Some((path, fingerprint)) = checkpoint {
+                let ckpt = SimCheckpoint {
+                    fingerprint,
+                    committed: pipeline.committed_uops(),
+                    stream_pos,
+                    pipeline: pipeline.save_state(),
+                    predictor: predictor.save_state(),
                 };
+                let _ = ckpt.write_atomic(path);
             }
-        }
-        if opts.react_to_signals && shutdown::shutdown_requested() {
-            if let Some(path) = opts.checkpoint_path {
-                let _ = snapshot(fingerprint, &pipeline, &predictor, stream_pos).write_atomic(path);
-            }
-            return ResumableRun {
-                outcome: RunOutcome::Interrupted { committed },
-                resumed_from,
-                rejected_checkpoint,
-            };
-        }
-        if committed >= max_uops {
-            break;
-        }
-        if committed >= next_checkpoint_at {
-            if let Some(path) = opts.checkpoint_path {
-                let _ = snapshot(fingerprint, &pipeline, &predictor, stream_pos).write_atomic(path);
-            }
-            next_checkpoint_at = committed + opts.checkpoint_every;
-        }
+        };
 
-        let before = pipeline.committed_uops();
-        let stop_at = (before + CHUNK_UOPS).min(max_uops);
-        pipeline.run_segment(&mut stream, &mut predictor, stop_at, &mut stream_pos);
-        if pipeline.committed_uops() == before {
-            break; // stream exhausted before the budget
-        }
-    }
+        let mut next_checkpoint_at = if self.checkpoint_every > 0 {
+            pipeline.committed_uops() + self.checkpoint_every
+        } else {
+            u64::MAX
+        };
+        let mut warm_snapshot = None;
+        let stopped = loop {
+            let committed = pipeline.committed_uops();
+            if let Some(control) = self.control {
+                control.heartbeat.store(committed, Ordering::Relaxed);
+                if control.cancelled() {
+                    break Some(RunOutcome::Cancelled { committed });
+                }
+            }
+            if self.react_to_signals && shutdown::shutdown_requested() {
+                break Some(RunOutcome::Interrupted { committed });
+            }
+            let mut stop_at = (committed + CHUNK_UOPS).min(self.max_uops);
+            if warm_snapshot.is_none() {
+                if let Some(boundary) = measure_from {
+                    if committed >= boundary {
+                        warm_snapshot = Some(pipeline.stats_snapshot());
+                    } else {
+                        stop_at = stop_at.min(boundary);
+                    }
+                }
+            }
+            if committed >= self.max_uops {
+                break None;
+            }
+            if committed >= next_checkpoint_at {
+                write_checkpoint(&pipeline, &predictor, stream_pos);
+                next_checkpoint_at = committed + self.checkpoint_every;
+            }
+            pipeline.run_segment(&mut stream, &mut predictor, stop_at, &mut stream_pos);
+            if pipeline.committed_uops() == committed {
+                break None; // stream exhausted before the budget
+            }
+        };
 
-    if let Some(control) = opts.control {
-        control
-            .heartbeat
-            .store(pipeline.committed_uops(), Ordering::Relaxed);
-    }
-    // The run completed: the snapshot is stale the moment the final stats
-    // exist, so drop it rather than let a later run resurrect it.
-    if let Some(path) = opts.checkpoint_path {
-        SimCheckpoint::discard(path);
-    }
-    ResumableRun {
-        outcome: RunOutcome::Complete(pipeline.finish(&mut predictor)),
-        resumed_from,
-        rejected_checkpoint,
+        let outcome = match stopped {
+            Some(early) => {
+                write_checkpoint(&pipeline, &predictor, stream_pos);
+                early
+            }
+            None => {
+                if let Some(control) = self.control {
+                    control
+                        .heartbeat
+                        .store(pipeline.committed_uops(), Ordering::Relaxed);
+                }
+                // The run completed: the snapshot is stale the moment the
+                // final stats exist, so drop it rather than let a later run
+                // resurrect it.
+                if let Some(path) = self.checkpoint_path {
+                    SimCheckpoint::discard(path);
+                }
+                let stats = pipeline.finish(&mut predictor);
+                RunOutcome::Complete(match warm_snapshot {
+                    Some(warm) => stats.delta_since(&warm),
+                    None => stats,
+                })
+            }
+        };
+        Ok(RunReport {
+            outcome,
+            resumed_from,
+            rejected_checkpoint,
+            predictor,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::run_source;
     use bebop_trace::WorkloadSpec;
 
     fn demo() -> WorkloadSpec {
         WorkloadSpec::named_demo("resume-unit")
     }
 
+    /// Chunking is invisible: for every predictor kind, over a live and a
+    /// replayed stream, an unsupervised [`Run`] equals one unchunked
+    /// `Pipeline::run` bit for bit — including a budget past the end of a
+    /// recording, where both stop with the stream.
     #[test]
-    fn default_options_match_run_source() {
+    fn unsupervised_runs_match_the_unchunked_pipeline() {
         let spec = demo();
         let cfg = PipelineConfig::baseline_vp_6_60();
-        let kind = PredictorKind::DVtage;
-        let direct = run_source(UopSource::Live(&spec), &cfg, &kind, 5_000);
-        let run = run_source_resumable(
-            UopSource::Live(&spec),
-            &cfg,
-            &kind,
-            5_000,
-            ResumeOptions::default(),
-        );
-        assert_eq!(run.outcome, RunOutcome::Complete(direct));
-        assert_eq!(run.resumed_from, None);
-        assert_eq!(run.rejected_checkpoint, None);
+        let buf = bebop_trace::TraceBuffer::record(&spec, 5_000);
+        for kind in &crate::driver::tests::all_kinds() {
+            for (source, n) in [
+                (UopSource::Live(&spec), 5_000),
+                (UopSource::Replay(&buf), 5_000),
+                (UopSource::Replay(&buf), 6_000),
+            ] {
+                let direct = Pipeline::new(cfg.clone()).run(source.stream(), &mut kind.build(), n);
+                let report = Run::new(source, &cfg, kind, n).execute().unwrap();
+                assert_eq!(
+                    report.outcome,
+                    RunOutcome::Complete(direct),
+                    "{} over {source:?}",
+                    kind.label()
+                );
+                assert_eq!(report.resumed_from, None);
+                assert_eq!(report.rejected_checkpoint, None);
+            }
+        }
     }
 
     #[test]
@@ -365,17 +468,19 @@ mod tests {
         let spec = demo();
         let control = RunControl::new();
         control.request_cancel();
-        let run = run_source_resumable(
-            UopSource::Live(&spec),
-            &PipelineConfig::baseline_vp_6_60(),
-            &PredictorKind::LastValue,
-            1_000_000,
-            ResumeOptions {
-                control: Some(&control),
-                ..Default::default()
-            },
-        );
-        assert!(matches!(run.outcome, RunOutcome::Cancelled { .. }));
+        let cfg = PipelineConfig::baseline_vp_6_60();
+        let report = Run {
+            control: Some(&control),
+            ..Run::new(
+                UopSource::Live(&spec),
+                &cfg,
+                &PredictorKind::LastValue,
+                1_000_000,
+            )
+        }
+        .execute()
+        .unwrap();
+        assert!(matches!(report.outcome, RunOutcome::Cancelled { .. }));
     }
 
     /// Guards the two properties resumability rests on, at many cut points:

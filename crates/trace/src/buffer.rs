@@ -19,9 +19,11 @@
 //! to live generation (asserted by the `replay_*` tests here and the
 //! `integration_replay` suite).
 
+use crate::fingerprint::{FnvHasher, FNV_OFFSET_BASIS};
 use crate::generator::TraceGenerator;
 use crate::workload::WorkloadSpec;
 use bebop_isa::{BranchKind, DynUop, MemAccess, Uop};
+use std::hash::{Hash, Hasher};
 
 /// Packed per-µop metadata lane layout (one `u32` per µ-op).
 pub(crate) mod meta {
@@ -325,6 +327,17 @@ impl TraceBuffer {
             mem_i: 0,
             br_i: 0,
         }
+    }
+
+    /// A hash of every lane of the recording: two recordings share it only
+    /// if they replay the same stream. Binds a checkpoint of a replayed run
+    /// to its recording; one pass over the lanes, so it is computed only
+    /// when a checkpoint is.
+    pub fn content_fingerprint(&self) -> u64 {
+        let mut h = FnvHasher(FNV_OFFSET_BASIS);
+        (&self.pc, &self.uop, &self.value, &self.meta).hash(&mut h);
+        (&self.mem_addr, &self.mem_size, &self.br_target, &self.asid).hash(&mut h);
+        h.finish()
     }
 
     /// A zero-copy cursor replaying only the sub-range `start..end` of the

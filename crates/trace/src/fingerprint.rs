@@ -25,6 +25,21 @@ pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// [`fnv1a`] as a [`std::hash::Hasher`], for hashing values through their
+/// derived `Hash` implementations (a recording's lanes, see
+/// [`crate::TraceBuffer::content_fingerprint`]).
+pub(crate) struct FnvHasher(pub(crate) u64);
+
+impl std::hash::Hasher for FnvHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a(self.0, bytes);
+    }
+}
+
 /// Version of the *generation behaviour*: the mapping from a [`WorkloadSpec`]
 /// to a µ-op stream. Bump it whenever `TraceGenerator` (or anything it calls —
 /// program construction, value/address pattern sampling, RNG consumption

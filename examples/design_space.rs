@@ -7,21 +7,17 @@
 //! cargo run --release --example design_space
 //! ```
 
-use bebop::{configs, run_one, BlockDVtageConfig, PredictorKind, SpecWindowSize};
+use bebop::{configs, BlockDVtageConfig, PredictorKind, Run, SpecWindowSize, UopSource};
 use bebop_trace::spec_benchmark;
 use bebop_uarch::PipelineConfig;
 
 fn speedup(cfg: BlockDVtageConfig, uops: u64) -> (f64, f64) {
     let spec = spec_benchmark("173.applu");
-    let pipe = PipelineConfig::eole_4_60();
-    let base = run_one(
-        &spec,
-        &PipelineConfig::baseline_6_60(),
-        &PredictorKind::None,
-        uops,
-    );
+    let source = UopSource::Live(&spec);
+    let (base_pipe, pipe) = (PipelineConfig::baseline_6_60(), PipelineConfig::eole_4_60());
+    let base = Run::new(source, &base_pipe, &PredictorKind::None, uops).stats();
     let kb = cfg.storage_kb();
-    let stats = run_one(&spec, &pipe, &PredictorKind::BlockDVtage(cfg), uops);
+    let stats = Run::new(source, &pipe, &PredictorKind::BlockDVtage(cfg), uops).stats();
     (stats.speedup_over(&base), kb)
 }
 

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use bebop::{configs, run_one, PredictorKind};
+use bebop::{configs, PredictorKind, Run, UopSource};
 use bebop_trace::spec_benchmark;
 use bebop_uarch::PipelineConfig;
 
@@ -15,12 +15,14 @@ fn main() {
 
     println!("workload: {} ({uops} µ-ops)", spec.name);
 
-    let baseline = run_one(
-        &spec,
-        &PipelineConfig::baseline_6_60(),
+    let baseline_cfg = PipelineConfig::baseline_6_60();
+    let baseline = Run::new(
+        UopSource::Live(&spec),
+        &baseline_cfg,
         &PredictorKind::None,
         uops,
-    );
+    )
+    .stats();
     println!(
         "Baseline_6_60          : {:>8} cycles, IPC {:.3}",
         baseline.cycles,
@@ -32,12 +34,9 @@ fn main() {
         "BeBoP D-VTAGE (Medium) : {:.2} KB of predictor storage",
         medium.storage_kb()
     );
-    let bebop = run_one(
-        &spec,
-        &PipelineConfig::eole_4_60(),
-        &PredictorKind::BlockDVtage(medium),
-        uops,
-    );
+    let eole_cfg = PipelineConfig::eole_4_60();
+    let kind = PredictorKind::BlockDVtage(medium);
+    let bebop = Run::new(UopSource::Live(&spec), &eole_cfg, &kind, uops).stats();
     println!(
         "EOLE_4_60 + BeBoP      : {:>8} cycles, IPC {:.3}",
         bebop.cycles,

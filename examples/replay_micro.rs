@@ -8,9 +8,7 @@
 //! Each simulation pair also asserts that live and replayed `SimStats` are
 //! bit-identical, so this doubles as a quick replay-fidelity check.
 
-use bebop::{
-    configs, run_source, PipelineConfig, PredictorKind, TraceBuffer, UopSource, WorkloadSpec,
-};
+use bebop::{configs, PipelineConfig, PredictorKind, Run, TraceBuffer, UopSource, WorkloadSpec};
 use bebop_trace::TraceGenerator;
 use std::time::Instant;
 
@@ -22,26 +20,17 @@ fn bench(
     n: u64,
     reps: u32,
 ) {
+    let cfg = PipelineConfig::eole_4_60();
     let t = Instant::now();
     let mut s = None;
     for _ in 0..reps {
-        s = Some(run_source(
-            UopSource::Live(spec),
-            &PipelineConfig::eole_4_60(),
-            kind,
-            n,
-        ));
+        s = Some(Run::new(UopSource::Live(spec), &cfg, kind, n).stats());
     }
     let live = (reps as u64 * n) as f64 / t.elapsed().as_secs_f64() / 1e6;
     let t = Instant::now();
     let mut s2 = None;
     for _ in 0..reps {
-        s2 = Some(run_source(
-            UopSource::Replay(buf),
-            &PipelineConfig::eole_4_60(),
-            kind,
-            n,
-        ));
+        s2 = Some(Run::new(UopSource::Replay(buf), &cfg, kind, n).stats());
     }
     assert_eq!(s, s2);
     let rep = (reps as u64 * n) as f64 / t.elapsed().as_secs_f64() / 1e6;

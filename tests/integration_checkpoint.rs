@@ -1,7 +1,7 @@
 //! End-to-end checkpoint/restore tests of the robustness layer.
 //!
 //! The headline property: a run snapshotted at an *arbitrary* commit point
-//! and resumed through [`bebop::run_source_resumable`] finishes with
+//! and resumed through [`bebop::Run::execute`] finishes with
 //! `SimStats` bit-identical to an uninterrupted run — for every
 //! [`PredictorKind`], serial and parallel. Alongside it: corrupt, truncated
 //! and mismatched checkpoints are rejected-and-discarded with a clean
@@ -9,16 +9,15 @@
 //! snapshot behind.
 
 use bebop::{
-    configs, par, run_fingerprint, run_source, run_source_resumable, set_shutdown_requested,
-    PipelineConfig, PredictorKind, ResumeOptions, RunControl, RunOutcome, SimCheckpoint, UopSource,
-    WorkloadSpec,
+    configs, par, run_fingerprint, set_shutdown_requested, PipelineConfig, PredictorKind, Run,
+    RunControl, RunError, RunOutcome, RunReport, SimCheckpoint, SimStats, UopSource, WorkloadSpec,
 };
 use bebop_trace::TraceBuffer;
 use bebop_uarch::{Pipeline, ValuePredictor};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const TOTAL: u64 = 6_000;
 
@@ -43,22 +42,43 @@ fn tmp_path(tag: &str) -> PathBuf {
     ))
 }
 
-/// Snapshots a run of `kind` at `cut` committed µ-ops exactly as the resume
-/// driver would, writes the checkpoint to `path`, and returns it.
+fn stats(source: UopSource<'_>, cfg: &PipelineConfig, kind: &PredictorKind, n: u64) -> SimStats {
+    Run::new(source, cfg, kind, n).stats()
+}
+
+/// Runs `source` to `n` µ-ops, resuming from the checkpoint at `path` when a
+/// valid one is there.
+fn resume(
+    source: UopSource<'_>,
+    cfg: &PipelineConfig,
+    kind: &PredictorKind,
+    n: u64,
+    path: &Path,
+) -> RunReport {
+    Run {
+        checkpoint_path: Some(path),
+        ..Run::new(source, cfg, kind, n)
+    }
+    .execute()
+    .expect("whole-stream runs accept a checkpoint path")
+}
+
+/// Snapshots a `TOTAL`-µop run of `source` at `cut` committed µ-ops exactly
+/// as the run loop would, writes the checkpoint to `path`, and returns it.
 fn snapshot_at(
-    spec: &WorkloadSpec,
+    source: UopSource<'_>,
     cfg: &PipelineConfig,
     kind: &PredictorKind,
     cut: u64,
-    path: &std::path::Path,
+    path: &Path,
 ) -> SimCheckpoint {
     let mut pipeline = Pipeline::new(cfg.clone());
     let mut predictor = kind.build();
-    let mut stream = UopSource::Live(spec).stream();
+    let mut stream = source.stream();
     let mut stream_pos = 0u64;
     pipeline.run_segment(&mut stream, &mut predictor, cut, &mut stream_pos);
     let ckpt = SimCheckpoint {
-        fingerprint: run_fingerprint(&UopSource::Live(spec), cfg, kind, TOTAL),
+        fingerprint: run_fingerprint(&source, cfg, kind, TOTAL),
         committed: pipeline.committed_uops(),
         stream_pos,
         pipeline: pipeline.save_state(),
@@ -74,23 +94,15 @@ fn snapshot_at(
 fn check_roundtrip(kind: &PredictorKind, tag: &str, seed: u64) {
     let spec = WorkloadSpec::named_demo("ckpt-roundtrip");
     let cfg = PipelineConfig::baseline_vp_6_60();
-    let reference = run_source(UopSource::Live(&spec), &cfg, kind, TOTAL);
+    let source = UopSource::Live(&spec);
+    let reference = stats(source, &cfg, kind, TOTAL);
 
     let cut = SmallRng::seed_from_u64(seed).gen_range(TOTAL / 8..TOTAL - TOTAL / 8);
     let path = tmp_path(&format!("{tag}-{seed:x}-{:x}", cut));
-    let ckpt = snapshot_at(&spec, &cfg, kind, cut, &path);
+    let ckpt = snapshot_at(source, &cfg, kind, cut, &path);
     assert_eq!(ckpt.committed, cut, "run_segment stops exactly at the cut");
 
-    let resumed = run_source_resumable(
-        UopSource::Live(&spec),
-        &cfg,
-        kind,
-        TOTAL,
-        ResumeOptions {
-            checkpoint_path: Some(&path),
-            ..Default::default()
-        },
-    );
+    let resumed = resume(source, &cfg, kind, TOTAL, &path);
     assert_eq!(
         resumed.resumed_from,
         Some(cut),
@@ -123,63 +135,65 @@ fn every_predictor_kind_resumes_bit_identically_parallel() {
     });
 }
 
-/// Phase-sampling interaction: a *slice-bounded* run (the stream behind a
-/// sampled measurement window, [`UopSource::ReplaySlice`]) snapshotted in
-/// the middle of its slice and resumed through the production path must
-/// finish bit-identical to the uninterrupted slice run — checkpointing and
-/// sampling compose without either subsystem special-casing the other.
+/// A phase-sampling slice reports the delta past its warm-up boundary, which
+/// a checkpoint does not carry: a slice run with a checkpoint path is refused
+/// before it simulates or touches the file.
 #[test]
-fn slice_bounded_resumable_run_restores_mid_slice_bit_identically() {
+fn slice_runs_refuse_a_checkpoint_path() {
     let spec = WorkloadSpec::named_demo("ckpt-slice");
     let cfg = PipelineConfig::baseline_vp_6_60();
-    let kind = PredictorKind::DVtage;
     let buf = TraceBuffer::record(&spec, 12_000);
-    let (start, end) = (4_000usize, 9_000usize);
-    let src = || UopSource::replay_slice(&buf, start, end).expect("valid slice");
-    let budget: u64 = src().stream().filter(|u| !u.wrong_path).count() as u64;
-    assert!(budget > 16, "slice must hold a meaningful run");
-    let reference = run_source(src(), &cfg, &kind, budget);
-
-    // Snapshot mid-slice exactly as the resume driver would.
-    let cut = budget / 2;
+    let slice = UopSource::replay_slice(&buf, 4_000, 9_000, 1_000).expect("valid slice");
     let path = tmp_path("slice");
-    let mut pipeline = Pipeline::new(cfg.clone());
-    let mut predictor = kind.build();
-    let mut stream = src().stream();
-    let mut stream_pos = 0u64;
-    pipeline.run_segment(&mut stream, &mut predictor, cut, &mut stream_pos);
-    let ckpt = SimCheckpoint {
-        fingerprint: run_fingerprint(&src(), &cfg, &kind, budget),
-        committed: pipeline.committed_uops(),
-        stream_pos,
-        pipeline: pipeline.save_state(),
-        predictor: predictor.save_state(),
-    };
-    ckpt.write_atomic(&path).expect("write checkpoint");
-    assert_eq!(ckpt.committed, cut, "snapshot lands exactly mid-slice");
+    let refused = Run {
+        checkpoint_path: Some(&path),
+        ..Run::new(slice, &cfg, &PredictorKind::DVtage, u64::MAX)
+    }
+    .execute();
+    assert_eq!(refused.err(), Some(RunError::CheckpointedSlice));
+    assert!(!path.exists(), "a refused run writes no checkpoint");
+}
 
-    let resumed = run_source_resumable(
-        src(),
-        &cfg,
-        &kind,
-        budget,
-        ResumeOptions {
-            checkpoint_path: Some(&path),
-            ..Default::default()
+/// Two workloads recorded to the same length replay different streams, so a
+/// checkpoint of one must never resume the other. The fingerprint hashes the
+/// recording itself: `named_demo` streams do not depend on the name, so only
+/// a different seed makes the second recording a different stream.
+#[test]
+fn replay_checkpoints_are_bound_to_the_recording() {
+    let cfg = PipelineConfig::baseline_vp_6_60();
+    let kind = PredictorKind::DVtage;
+    let fingerprint =
+        |buf: &TraceBuffer| run_fingerprint(&UopSource::Replay(buf), &cfg, &kind, TOTAL);
+    let a = TraceBuffer::record(&WorkloadSpec::named_demo("ckpt-rec-a"), TOTAL);
+    let same = TraceBuffer::record(&WorkloadSpec::named_demo("ckpt-rec-a2"), TOTAL);
+    let b = TraceBuffer::record(
+        &WorkloadSpec {
+            seed: 0xB,
+            ..WorkloadSpec::named_demo("ckpt-rec-b")
         },
+        TOTAL,
     );
+    assert_eq!((a.len(), a.committed_len()), (b.len(), b.committed_len()));
+    assert_eq!(fingerprint(&a), fingerprint(&same), "identical streams");
+    assert_ne!(fingerprint(&a), fingerprint(&b));
+    let (src_a, src_b) = (UopSource::Replay(&a), UopSource::Replay(&b));
+
+    let path = tmp_path("recording");
+    snapshot_at(src_a, &cfg, &kind, TOTAL / 2, &path);
+    let run = resume(src_b, &cfg, &kind, TOTAL, &path);
     assert_eq!(
-        resumed.resumed_from,
-        Some(cut),
-        "must resume from the mid-slice snapshot, not restart"
+        run.resumed_from, None,
+        "b must not resume from a's snapshot"
     );
-    assert_eq!(resumed.rejected_checkpoint, None);
+    assert!(run
+        .rejected_checkpoint
+        .as_deref()
+        .is_some_and(|r| r.contains("different configuration")));
     assert_eq!(
-        resumed.outcome,
-        RunOutcome::Complete(reference),
-        "resumed slice-bounded SimStats must be bit-identical"
+        run.outcome,
+        RunOutcome::Complete(stats(src_b, &cfg, &kind, TOTAL))
     );
-    assert!(!path.exists(), "completed runs discard the snapshot");
+    assert!(!path.exists());
 }
 
 #[test]
@@ -187,7 +201,8 @@ fn corrupt_truncated_and_mismatched_checkpoints_fall_back_to_zero() {
     let spec = WorkloadSpec::named_demo("ckpt-reject");
     let cfg = PipelineConfig::baseline_vp_6_60();
     let kind = PredictorKind::DVtage;
-    let reference = run_source(UopSource::Live(&spec), &cfg, &kind, TOTAL);
+    let source = UopSource::Live(&spec);
+    let reference = stats(source, &cfg, &kind, TOTAL);
     let path = tmp_path("reject");
 
     type Mutation = Box<dyn Fn(Vec<u8>) -> Vec<u8>>;
@@ -216,20 +231,11 @@ fn corrupt_truncated_and_mismatched_checkpoints_fall_back_to_zero() {
         ),
     ];
     for (what, mutate) in mutations {
-        snapshot_at(&spec, &cfg, &kind, TOTAL / 2, &path);
+        snapshot_at(source, &cfg, &kind, TOTAL / 2, &path);
         let bytes = fs::read(&path).expect("checkpoint bytes");
         fs::write(&path, mutate(bytes)).expect("write mutated checkpoint");
 
-        let run = run_source_resumable(
-            UopSource::Live(&spec),
-            &cfg,
-            &kind,
-            TOTAL,
-            ResumeOptions {
-                checkpoint_path: Some(&path),
-                ..Default::default()
-            },
-        );
+        let run = resume(source, &cfg, &kind, TOTAL, &path);
         assert_eq!(run.resumed_from, None, "{what}: must not resume");
         assert!(
             run.rejected_checkpoint.is_some(),
@@ -245,19 +251,10 @@ fn corrupt_truncated_and_mismatched_checkpoints_fall_back_to_zero() {
 
     // A checkpoint from a *different* configuration (here: another µ-op
     // budget, which changes the fingerprint) is rejected the same way.
-    let mut other = snapshot_at(&spec, &cfg, &kind, TOTAL / 2, &path);
+    let mut other = snapshot_at(source, &cfg, &kind, TOTAL / 2, &path);
     other.fingerprint ^= 1;
     other.write_atomic(&path).expect("write foreign checkpoint");
-    let run = run_source_resumable(
-        UopSource::Live(&spec),
-        &cfg,
-        &kind,
-        TOTAL,
-        ResumeOptions {
-            checkpoint_path: Some(&path),
-            ..Default::default()
-        },
-    );
+    let run = resume(source, &cfg, &kind, TOTAL, &path);
     assert_eq!(run.resumed_from, None);
     assert!(run
         .rejected_checkpoint
@@ -280,7 +277,8 @@ fn cancelled_run_writes_a_final_checkpoint_and_resumes_bit_identically() {
     } else {
         200_000
     };
-    let reference = run_source(UopSource::Live(&spec), &cfg, &kind, BUDGET);
+    let source = UopSource::Live(&spec);
+    let reference = stats(source, &cfg, &kind, BUDGET);
     let path = tmp_path("cancel");
     SimCheckpoint::discard(&path);
 
@@ -294,18 +292,14 @@ fn cancelled_run_writes_a_final_checkpoint_and_resumes_bit_identically() {
             }
             control.request_cancel();
         });
-        run_source_resumable(
-            UopSource::Live(&spec),
-            &cfg,
-            &kind,
-            BUDGET,
-            ResumeOptions {
-                checkpoint_path: Some(&path),
-                checkpoint_every: 10_000,
-                control: Some(&control),
-                react_to_signals: false,
-            },
-        )
+        Run {
+            checkpoint_path: Some(&path),
+            checkpoint_every: 10_000,
+            control: Some(&control),
+            ..Run::new(source, &cfg, &kind, BUDGET)
+        }
+        .execute()
+        .expect("whole-stream runs accept a checkpoint path")
     });
     let committed = match interrupted.outcome {
         RunOutcome::Cancelled { committed } => committed,
@@ -317,16 +311,7 @@ fn cancelled_run_writes_a_final_checkpoint_and_resumes_bit_identically() {
     );
     assert!(path.exists(), "a cancelled run leaves its final checkpoint");
 
-    let resumed = run_source_resumable(
-        UopSource::Live(&spec),
-        &cfg,
-        &kind,
-        BUDGET,
-        ResumeOptions {
-            checkpoint_path: Some(&path),
-            ..Default::default()
-        },
-    );
+    let resumed = resume(source, &cfg, &kind, BUDGET, &path);
     assert_eq!(resumed.resumed_from, Some(committed));
     assert_eq!(resumed.outcome, RunOutcome::Complete(reference));
     assert!(!path.exists());
@@ -337,24 +322,21 @@ fn signal_interruption_leaves_a_resumable_checkpoint() {
     let spec = WorkloadSpec::named_demo("ckpt-signal");
     let cfg = PipelineConfig::baseline_vp_6_60();
     let kind = PredictorKind::LastValue;
-    let reference = run_source(UopSource::Live(&spec), &cfg, &kind, TOTAL);
+    let source = UopSource::Live(&spec);
+    let reference = stats(source, &cfg, &kind, TOTAL);
     let path = tmp_path("signal");
     SimCheckpoint::discard(&path);
 
     // The flag is what the SIGINT/SIGTERM handlers set; driving it directly
     // keeps the test in-process and signal-free.
     set_shutdown_requested(true);
-    let interrupted = run_source_resumable(
-        UopSource::Live(&spec),
-        &cfg,
-        &kind,
-        TOTAL,
-        ResumeOptions {
-            checkpoint_path: Some(&path),
-            react_to_signals: true,
-            ..Default::default()
-        },
-    );
+    let interrupted = Run {
+        checkpoint_path: Some(&path),
+        react_to_signals: true,
+        ..Run::new(source, &cfg, &kind, TOTAL)
+    }
+    .execute()
+    .expect("whole-stream runs accept a checkpoint path");
     set_shutdown_requested(false);
     assert!(matches!(
         interrupted.outcome,
@@ -362,16 +344,7 @@ fn signal_interruption_leaves_a_resumable_checkpoint() {
     ));
     assert!(path.exists(), "interruption must leave a checkpoint behind");
 
-    let resumed = run_source_resumable(
-        UopSource::Live(&spec),
-        &cfg,
-        &kind,
-        TOTAL,
-        ResumeOptions {
-            checkpoint_path: Some(&path),
-            ..Default::default()
-        },
-    );
+    let resumed = resume(source, &cfg, &kind, TOTAL, &path);
     assert!(resumed.resumed_from.is_some());
     assert_eq!(resumed.outcome, RunOutcome::Complete(reference));
     assert!(!path.exists());

@@ -1,8 +1,9 @@
 //! Integration tests asserting the *shape* of the paper's headline results on a
 //! reduced scale: who wins, roughly by how much, and where the crossovers are.
 
-use bebop::{compare, configs, PredictorKind, SpeedupSummary};
-use bebop_trace::{benchmark_class, spec_benchmark, BenchClass};
+use bebop::{configs, BenchResult, PredictorKind, SpeedupSummary};
+use bebop_bench::{run_fig5a, run_fig7a, run_sweep, TraceCachePolicy, TraceSet};
+use bebop_trace::{benchmark_class, spec_benchmark, BenchClass, WorkloadSpec};
 use bebop_uarch::PipelineConfig;
 
 // Long enough for the forward-probabilistic confidence counters (~130 correct
@@ -10,7 +11,7 @@ use bebop_uarch::PipelineConfig;
 const UOPS: u64 = 120_000;
 
 /// A representative slice of Table II: two of each gain class.
-fn slice() -> Vec<bebop_trace::WorkloadSpec> {
+fn slice() -> Vec<WorkloadSpec> {
     [
         "171.swim",
         "173.applu",
@@ -24,17 +25,36 @@ fn slice() -> Vec<bebop_trace::WorkloadSpec> {
     .collect()
 }
 
+fn recorded(specs: &[WorkloadSpec]) -> TraceSet {
+    TraceSet::build(specs, UOPS, &TraceCachePolicy::default())
+}
+
+/// Figure 8's headline comparison: EOLE_4_60 with BeBoP D-VTAGE (Medium) over
+/// Baseline_6_60.
+fn medium_over_baseline() -> Vec<BenchResult> {
+    let medium = (
+        "Medium".to_string(),
+        PipelineConfig::eole_4_60(),
+        PredictorKind::BlockDVtage(configs::medium()),
+    );
+    let baseline = PipelineConfig::baseline_6_60();
+    let set = recorded(&slice());
+    let mut out = run_sweep(&set, &baseline, &PredictorKind::None, &[medium], UOPS);
+    out.groups.remove(0).1
+}
+
+/// Figure 5a on the slice: each predictor's speedup summary, by label.
+fn fig5a_summaries() -> Vec<(String, SpeedupSummary)> {
+    let out = run_fig5a(&recorded(&slice()), UOPS);
+    out.groups
+        .iter()
+        .map(|(label, results)| (label.clone(), SpeedupSummary::from_results(results)))
+        .collect()
+}
+
 #[test]
 fn figure8_shape_final_configs_beat_the_baseline_on_average() {
-    let specs = slice();
-    let results = compare(
-        &specs,
-        &PipelineConfig::baseline_6_60(),
-        &PredictorKind::None,
-        &PipelineConfig::eole_4_60(),
-        &PredictorKind::BlockDVtage(configs::medium()),
-        UOPS,
-    );
+    let results = medium_over_baseline();
     let summary = SpeedupSummary::from_results(&results);
     // Paper: ~1.11 gmean over all 36, with up to ~1.6 peaks; on this slice the
     // gmean must clearly exceed 1 and the best benchmark must gain substantially.
@@ -52,15 +72,7 @@ fn figure8_shape_final_configs_beat_the_baseline_on_average() {
 
 #[test]
 fn figure8_shape_high_gain_class_outperforms_low_gain_class() {
-    let specs = slice();
-    let results = compare(
-        &specs,
-        &PipelineConfig::baseline_6_60(),
-        &PredictorKind::None,
-        &PipelineConfig::eole_4_60(),
-        &PredictorKind::BlockDVtage(configs::medium()),
-        UOPS,
-    );
+    let results = medium_over_baseline();
     let mut high = Vec::new();
     let mut low = Vec::new();
     for r in &results {
@@ -80,32 +92,21 @@ fn figure8_shape_high_gain_class_outperforms_low_gain_class() {
 
 #[test]
 fn figure5a_shape_dvtage_is_at_least_as_good_as_2d_stride_on_average() {
-    let specs = slice();
-    let base = PipelineConfig::baseline_6_60();
-    let vp = PipelineConfig::baseline_vp_6_60();
-    let stride = SpeedupSummary::from_results(&compare(
-        &specs,
-        &base,
-        &PredictorKind::None,
-        &vp,
-        &PredictorKind::TwoDeltaStride,
-        UOPS,
-    ));
-    let dvtage = SpeedupSummary::from_results(&compare(
-        &specs,
-        &base,
-        &PredictorKind::None,
-        &vp,
-        &PredictorKind::DVtage,
-        UOPS,
-    ));
+    let summaries = fig5a_summaries();
+    let gmean = |label: &str| {
+        summaries
+            .iter()
+            .find(|(l, _)| l == label)
+            .unwrap()
+            .1
+            .gmean()
+    };
+    let (stride, dvtage) = (gmean("2d-Stride"), gmean("D-VTAGE"));
     // The paper reports D-VTAGE on par with or better than 2d-Stride; on this
     // reduced slice and µ-op budget allow a small tolerance for warm-up noise.
     assert!(
-        dvtage.gmean() >= stride.gmean() - 0.08,
-        "D-VTAGE ({:.3}) should not lose to 2d-Stride ({:.3})",
-        dvtage.gmean(),
-        stride.gmean()
+        dvtage >= stride - 0.08,
+        "D-VTAGE ({dvtage:.3}) should not lose to 2d-Stride ({stride:.3})"
     );
 }
 
@@ -114,25 +115,12 @@ fn figure5a_shape_no_predictor_causes_a_large_slowdown() {
     // "First, no slowdown is observed with D-VTAGE" — D-VTAGE must stay close to or
     // above 1.0 on every benchmark of the slice; the simpler predictors are allowed
     // slightly more noise but must not collapse either.
-    let specs = slice();
-    for (kind, floor) in [
-        (PredictorKind::TwoDeltaStride, 0.85),
-        (PredictorKind::Vtage, 0.85),
-        (PredictorKind::DVtage, 0.93),
-    ] {
-        let results = compare(
-            &specs,
-            &PipelineConfig::baseline_6_60(),
-            &PredictorKind::None,
-            &PipelineConfig::baseline_vp_6_60(),
-            &kind,
-            UOPS,
-        );
-        let summary = SpeedupSummary::from_results(&results);
+    let summaries = fig5a_summaries();
+    for (label, floor) in [("2d-Stride", 0.85), ("VTAGE", 0.85), ("D-VTAGE", 0.93)] {
+        let summary = &summaries.iter().find(|(l, _)| l == label).unwrap().1;
         assert!(
             summary.min() > floor,
-            "{} caused a large slowdown: min {:.3}",
-            kind.label(),
+            "{label} caused a large slowdown: min {:.3}",
             summary.min()
         );
     }
@@ -142,19 +130,11 @@ fn figure5a_shape_no_predictor_causes_a_large_slowdown() {
 fn figure7a_shape_recovery_policies_are_close_to_each_other() {
     // Paper: "the differences between the realistic policies are marginal".
     let specs = vec![spec_benchmark("401.bzip2"), spec_benchmark("173.applu")];
-    let eole = PipelineConfig::eole_4_60();
-    let mut gmeans = Vec::new();
-    for (_, cfg) in configs::fig7a_sweep() {
-        let results = compare(
-            &specs,
-            &eole,
-            &PredictorKind::DVtage,
-            &eole,
-            &PredictorKind::BlockDVtage(cfg),
-            UOPS,
-        );
-        gmeans.push(SpeedupSummary::from_results(&results).gmean());
-    }
+    let gmeans: Vec<f64> = run_fig7a(&recorded(&specs), UOPS)
+        .groups
+        .iter()
+        .map(|(_, results)| SpeedupSummary::from_results(results).gmean())
+        .collect();
     let max = gmeans.iter().cloned().fold(f64::MIN, f64::max);
     let min = gmeans.iter().cloned().fold(f64::MAX, f64::min);
     assert!(

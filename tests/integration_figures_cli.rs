@@ -1,6 +1,8 @@
-//! Command-line contract of the `figures` binary: unknown flags and `--help`.
+//! Command-line contract of the `figures` binary: unknown flags, `--help` and
+//! termination signals.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::Duration;
 
 fn figures(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_figures"))
@@ -49,4 +51,30 @@ fn dashed_experiment_names_still_select_experiments() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("Table I"));
+}
+
+#[cfg(unix)]
+#[test]
+fn sigterm_stops_a_run_outside_the_sweep() {
+    // Only `--sweep` polls the shutdown flag, so any other run must keep the
+    // default SIGTERM action and die instead of finishing its tables.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["table2", "--uops", "3000000", "--serial"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn figures");
+    std::thread::sleep(Duration::from_millis(500));
+    let kill = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status();
+    assert!(kill.expect("run kill").success());
+    // Poll for up to 5 s, then make sure no straggler outlives the test.
+    let status = (0..250).find_map(|_| {
+        std::thread::sleep(Duration::from_millis(20));
+        child.try_wait().expect("poll figures")
+    });
+    let _ = child.kill();
+    let status = status.expect("figures ignored SIGTERM for 5 s");
+    assert!(!status.success(), "a terminated run must not exit 0");
 }

@@ -18,12 +18,16 @@
 //!    do; and every run's per-context statistics sum to its aggregate.
 
 use bebop::{
-    configs, run_one, run_source, run_source_with, MixSpec, PipelineConfig, PredictorKind,
-    SharingPolicy, UopSource, WorkloadSpec,
+    configs, MixSpec, PipelineConfig, PredictorKind, Run, RunOutcome, SharingPolicy, SimStats,
+    UopSource, WorkloadSpec,
 };
 
 const UOPS: u64 = 20_000;
 const QUANTUM: u64 = 1_000;
+
+fn run(source: UopSource<'_>, cfg: &PipelineConfig, kind: &PredictorKind, n: u64) -> SimStats {
+    Run::new(source, cfg, kind, n).stats()
+}
 
 fn all_kinds() -> Vec<PredictorKind> {
     vec![
@@ -96,8 +100,8 @@ fn single_context_mix_simulates_bit_identically_for_every_predictor_kind() {
     for sharing in SharingPolicy::ALL {
         let mix_pipe = plain_pipe.clone().with_mix(sharing);
         for kind in all_kinds() {
-            let plain = run_source(UopSource::Live(&spec), &plain_pipe, &kind, UOPS);
-            let mixed = run_source(UopSource::Replay(&buf), &mix_pipe, &kind, UOPS);
+            let plain = run(UopSource::Live(&spec), &plain_pipe, &kind, UOPS);
+            let mixed = run(UopSource::Replay(&buf), &mix_pipe, &kind, UOPS);
             assert_eq!(
                 plain,
                 mixed,
@@ -122,7 +126,7 @@ fn mcf_golden_values_survive_the_mix_machinery() {
     let mix = MixSpec::new("mcf-solo", QUANTUM, vec![spec.clone()]);
     let buf = mix.record(30_000);
     let pipe = PipelineConfig::baseline_vp_6_60().with_mix(SharingPolicy::Shared);
-    let stats = run_source(
+    let stats = run(
         UopSource::Replay(&buf),
         &pipe,
         &PredictorKind::DVtage,
@@ -146,8 +150,8 @@ fn mcf_golden_values_survive_the_mix_machinery() {
         "value-prediction statistics changed vs the golden run"
     );
     // And the plain (non-mix) entry point still agrees with itself.
-    let plain = run_one(
-        &spec,
+    let plain = run(
+        UopSource::Live(&spec),
         &PipelineConfig::baseline_vp_6_60(),
         &PredictorKind::DVtage,
         30_000,
@@ -173,7 +177,7 @@ fn shard_count_is_behaviour_invariant_under_the_shared_policy() {
         let mut cfg = configs::medium();
         cfg.shards = shards;
         let kind = PredictorKind::BlockDVtage(cfg);
-        results.push(run_source(UopSource::Replay(&buf), &pipe, &kind, UOPS));
+        results.push(run(UopSource::Replay(&buf), &pipe, &kind, UOPS));
     }
     assert_eq!(results[0], results[1], "2 shards diverged from 1");
     assert_eq!(results[1], results[2], "8 shards diverged from 2");
@@ -195,8 +199,14 @@ fn sharing_policies_divide_the_predictor_as_advertised() {
     let mut steals_by_policy = Vec::new();
     for sharing in SharingPolicy::ALL {
         let pipe = PipelineConfig::baseline_vp_6_60().with_mix(sharing);
-        let mut predictor = PredictorKind::BlockDVtage(configs::medium_mix(sharing, 2)).build();
-        let stats = run_source_with(UopSource::Replay(&buf), &pipe, &mut predictor, UOPS);
+        let kind = PredictorKind::BlockDVtage(configs::medium_mix(sharing, 2));
+        let report = Run::new(UopSource::Replay(&buf), &pipe, &kind, UOPS)
+            .execute()
+            .unwrap();
+        let RunOutcome::Complete(stats) = report.outcome else {
+            panic!("an unsupervised run completes");
+        };
+        let predictor = report.predictor;
         assert!(stats.context_totals_consistent(), "{}", sharing.label());
         assert!(stats.context_switches > 0);
         assert!(stats.contexts[0].uops > 0 && stats.contexts[1].uops > 0);
@@ -243,8 +253,8 @@ fn mix_replay_is_bit_identical_to_live_interleaving() {
         PredictorKind::DVtage,
         PredictorKind::BlockDVtage(configs::medium_mix(SharingPolicy::Tagged, 2)),
     ] {
-        let a = run_source(UopSource::Replay(&once), &pipe, &kind, UOPS);
-        let b = run_source(UopSource::Replay(&twice), &pipe, &kind, UOPS);
+        let a = run(UopSource::Replay(&once), &pipe, &kind, UOPS);
+        let b = run(UopSource::Replay(&twice), &pipe, &kind, UOPS);
         assert_eq!(a, b, "{} diverged across recordings", kind.label());
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end integration tests: workloads → pipeline → predictors, spanning every
 //! crate of the workspace.
 
-use bebop::{configs, run_one, PredictorKind};
+use bebop::{configs, PredictorKind, Run, SimStats, UopSource};
 use bebop_trace::{spec_benchmark, WorkloadSpec};
 use bebop_uarch::PipelineConfig;
 
@@ -9,13 +9,17 @@ use bebop_uarch::PipelineConfig;
 // entry) to saturate, so realistic predictors are out of their warm-up phase.
 const UOPS: u64 = 120_000;
 
+fn run(spec: &WorkloadSpec, cfg: &PipelineConfig, kind: &PredictorKind, n: u64) -> SimStats {
+    Run::new(UopSource::Live(spec), cfg, kind, n).stats()
+}
+
 #[test]
 fn simulations_are_deterministic_end_to_end() {
     let spec = spec_benchmark("171.swim");
     let cfg = PipelineConfig::eole_4_60();
     let kind = PredictorKind::BlockDVtage(configs::medium());
-    let a = run_one(&spec, &cfg, &kind, UOPS);
-    let b = run_one(&spec, &cfg, &kind, UOPS);
+    let a = run(&spec, &cfg, &kind, UOPS);
+    let b = run(&spec, &cfg, &kind, UOPS);
     assert_eq!(a, b);
 }
 
@@ -25,13 +29,13 @@ fn value_prediction_with_real_predictors_never_collapses_performance() {
     // does not slow the machine down appreciably on any class of workload.
     for name in ["171.swim", "429.mcf", "186.crafty", "403.gcc"] {
         let spec = spec_benchmark(name);
-        let base = run_one(
+        let base = run(
             &spec,
             &PipelineConfig::baseline_6_60(),
             &PredictorKind::None,
             UOPS,
         );
-        let vp = run_one(
+        let vp = run(
             &spec,
             &PipelineConfig::baseline_vp_6_60(),
             &PredictorKind::DVtage,
@@ -53,13 +57,13 @@ fn value_prediction_with_real_predictors_never_collapses_performance() {
 #[test]
 fn strided_fp_workload_gains_from_bebop_dvtage() {
     let spec = spec_benchmark("171.swim");
-    let base = run_one(
+    let base = run(
         &spec,
         &PipelineConfig::baseline_6_60(),
         &PredictorKind::None,
         UOPS,
     );
-    let bebop = run_one(
+    let bebop = run(
         &spec,
         &PipelineConfig::eole_4_60(),
         &PredictorKind::BlockDVtage(configs::medium()),
@@ -76,13 +80,13 @@ fn strided_fp_workload_gains_from_bebop_dvtage() {
 #[test]
 fn unpredictable_branchy_workload_neither_gains_nor_loses_much() {
     let spec = spec_benchmark("186.crafty");
-    let base = run_one(
+    let base = run(
         &spec,
         &PipelineConfig::baseline_6_60(),
         &PredictorKind::None,
         UOPS,
     );
-    let bebop = run_one(
+    let bebop = run(
         &spec,
         &PipelineConfig::eole_4_60(),
         &PredictorKind::BlockDVtage(configs::medium()),
@@ -102,13 +106,13 @@ fn eole_4_60_tracks_baseline_vp_6_60() {
     let mut slowdowns = Vec::new();
     for name in ["171.swim", "403.gcc", "401.bzip2"] {
         let spec = spec_benchmark(name);
-        let base_vp = run_one(
+        let base_vp = run(
             &spec,
             &PipelineConfig::baseline_vp_6_60(),
             &PredictorKind::DVtage,
             UOPS,
         );
-        let eole = run_one(
+        let eole = run(
             &spec,
             &PipelineConfig::eole_4_60(),
             &PredictorKind::DVtage,
@@ -134,7 +138,7 @@ fn spec_window_sizes_are_ordered_on_a_tight_strided_loop() {
             spec_window: size,
             ..configs::optimistic_6p()
         };
-        run_one(&spec, &pipe, &PredictorKind::BlockDVtage(cfg), UOPS)
+        run(&spec, &pipe, &PredictorKind::BlockDVtage(cfg), UOPS)
     };
     let none = run_with_window(bebop::SpecWindowSize::Disabled);
     let small = run_with_window(bebop::SpecWindowSize::Entries(32));
@@ -155,7 +159,7 @@ fn spec_window_sizes_are_ordered_on_a_tight_strided_loop() {
 #[test]
 fn all_36_benchmarks_run_under_the_headline_configuration() {
     for spec in bebop_trace::all_spec_benchmarks() {
-        let stats = run_one(
+        let stats = run(
             &spec,
             &PipelineConfig::eole_4_60(),
             &PredictorKind::BlockDVtage(configs::medium()),

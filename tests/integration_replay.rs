@@ -8,11 +8,15 @@
 //! worker threads replay one shared buffer concurrently).
 
 use bebop::{
-    configs, par, run_source, PipelineConfig, PredictorKind, SimStats, TraceBuffer, UopSource,
+    configs, par, PipelineConfig, PredictorKind, Run, SimStats, TraceBuffer, UopSource,
     WorkloadSpec,
 };
 
 const UOPS: u64 = 30_000;
+
+fn run(source: UopSource<'_>, cfg: &PipelineConfig, kind: &PredictorKind, n: u64) -> SimStats {
+    Run::new(source, cfg, kind, n).stats()
+}
 
 /// Every built-in predictor kind, including a block-based BeBoP configuration
 /// per recovery-relevant storage point.
@@ -46,8 +50,8 @@ fn replayed_stats_are_bit_identical_for_every_predictor_kind_serial() {
         let buf = TraceBuffer::record(&spec, UOPS);
         for kind in all_kinds() {
             let pipeline = PipelineConfig::eole_4_60();
-            let live = run_source(UopSource::Live(&spec), &pipeline, &kind, UOPS);
-            let replayed = run_source(UopSource::Replay(&buf), &pipeline, &kind, UOPS);
+            let live = run(UopSource::Live(&spec), &pipeline, &kind, UOPS);
+            let replayed = run(UopSource::Replay(&buf), &pipeline, &kind, UOPS);
             assert_eq!(
                 live,
                 replayed,
@@ -72,7 +76,7 @@ fn replayed_stats_are_bit_identical_for_every_predictor_kind_parallel() {
     let live: Vec<SimStats> = kinds
         .iter()
         .map(|kind| {
-            run_source(
+            run(
                 UopSource::Live(&spec),
                 &PipelineConfig::baseline_vp_6_60(),
                 kind,
@@ -84,7 +88,7 @@ fn replayed_stats_are_bit_identical_for_every_predictor_kind_parallel() {
     // Force real worker threads even on a single-core machine.
     par::set_threads(4);
     let replayed: Vec<SimStats> = par::par_map(&kinds, |kind| {
-        run_source(
+        run(
             UopSource::Replay(&buf),
             &PipelineConfig::baseline_vp_6_60(),
             kind,
@@ -110,13 +114,13 @@ fn replay_is_prefix_stable() {
     let spec = WorkloadSpec::new("replay-prefix", 7);
     let buf = TraceBuffer::record(&spec, UOPS * 2);
     let kind = PredictorKind::BlockDVtage(configs::medium());
-    let live = run_source(
+    let live = run(
         UopSource::Live(&spec),
         &PipelineConfig::eole_4_60(),
         &kind,
         UOPS,
     );
-    let replayed = run_source(
+    let replayed = run(
         UopSource::Replay(&buf),
         &PipelineConfig::eole_4_60(),
         &kind,

@@ -14,7 +14,7 @@
 
 use std::sync::Mutex;
 
-use bebop::{configs, par, run_one, PipelineConfig, PredictorKind};
+use bebop::{configs, par, PipelineConfig, PredictorKind, Run, UopSource};
 use bebop_bench::sampling::{run_sampled, run_sampled_with, SamplingConfig};
 use bebop_bench::workloads;
 
@@ -37,7 +37,7 @@ fn dvtage_within_declared_bounds_on_every_benchmark_serial_and_par() {
     let uops = 200_000;
     let cfg = SamplingConfig::for_budget(uops);
     let goldens = par::par_map(&specs, |s| {
-        run_one(s, &pipe(), &PredictorKind::DVtage, uops)
+        Run::new(UopSource::Live(s), &pipe(), &PredictorKind::DVtage, uops).stats()
     });
 
     par::set_threads(1);
@@ -88,7 +88,9 @@ fn every_predictor_kind_within_declared_bounds_on_the_subset() {
         PredictorKind::BlockDVtage(configs::medium()),
     ];
     for kind in &kinds {
-        let goldens = par::par_map(&specs, |s| run_one(s, &pipe(), kind, uops));
+        let goldens = par::par_map(&specs, |s| {
+            Run::new(UopSource::Live(s), &pipe(), kind, uops).stats()
+        });
         let out = run_sampled_with(&specs, uops, &cfg, &pipe(), kind);
         assert!(out.simulated_uops * 5 <= out.full_uops);
         for (row, golden) in out.rows.iter().zip(&goldens) {

@@ -13,11 +13,15 @@
 //!    mode existed.
 
 use bebop::{
-    configs, run_source, PipelineConfig, PredictorKind, TraceBuffer, UopSource, WorkloadSpec,
+    configs, PipelineConfig, PredictorKind, Run, SimStats, TraceBuffer, UopSource, WorkloadSpec,
 };
 use bebop_trace::TraceGenerator;
 
 const UOPS: u64 = 20_000;
+
+fn run(source: UopSource<'_>, cfg: &PipelineConfig, kind: &PredictorKind, n: u64) -> SimStats {
+    Run::new(source, cfg, kind, n).stats()
+}
 
 fn all_kinds() -> Vec<PredictorKind> {
     vec![
@@ -54,8 +58,8 @@ fn wrong_path_replay_is_bit_identical_for_every_predictor() {
     assert!(buf.wrong_path_len() > 0, "bursts must be recorded");
 
     for kind in all_kinds() {
-        let live = run_source(UopSource::Live(&spec), &wp_pipeline(), &kind, UOPS);
-        let replayed = run_source(UopSource::Replay(&buf), &wp_pipeline(), &kind, UOPS);
+        let live = run(UopSource::Live(&spec), &wp_pipeline(), &kind, UOPS);
+        let replayed = run(UopSource::Replay(&buf), &wp_pipeline(), &kind, UOPS);
         assert_eq!(live, replayed, "{} diverged under replay", kind.label());
         assert_eq!(live.uops, UOPS, "{}: budget counts committed", kind.label());
         assert!(
@@ -73,13 +77,13 @@ fn pollution_policies_differ_only_through_the_predictor() {
     let spec = wp_spec();
     let buf = TraceBuffer::record(&spec, UOPS);
     let base = PipelineConfig::baseline_vp_6_60();
-    let clean = run_source(
+    let clean = run(
         UopSource::Replay(&buf),
         &base.clone().with_wrong_path(false),
         &PredictorKind::DVtage,
         UOPS,
     );
-    let polluted = run_source(
+    let polluted = run(
         UopSource::Replay(&buf),
         &base.with_wrong_path(true),
         &PredictorKind::DVtage,
@@ -172,8 +176,8 @@ fn default_simulation_matches_the_pre_wrong_path_baseline() {
     // Golden SimStats recorded on `main` immediately before the wrong-path
     // mode was introduced: 429.mcf, Baseline_VP_6_60, D-VTAGE, 30K µ-ops.
     let spec = bebop::spec_benchmark("429.mcf");
-    let stats = bebop::run_one(
-        &spec,
+    let stats = run(
+        UopSource::Live(&spec),
         &PipelineConfig::baseline_vp_6_60(),
         &PredictorKind::DVtage,
         30_000,
