@@ -32,8 +32,9 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"BBPCKPT\0";
 /// Version history: 1 — original per-class slot-pool payloads; 2 — the
 /// in-flight window's unified `LanePool` (shared base, per-lane horizons,
 /// generation counter, sparse far-future overflow) plus the bounded
-/// `SlotPool` encoding.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 2;
+/// `SlotPool` encoding; 3 — the `LanePool` as one window per lane (generation
+/// counter, then per lane its horizon, dense counts and sparse overflow).
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 3;
 
 /// Why a checkpoint file was rejected (all outcomes mean "fall back to a
 /// from-zero run"; none are fatal).

@@ -49,7 +49,8 @@ pub use config::{
 pub use pipeline::Pipeline;
 pub use prefetch::StridePrefetcher;
 pub use resources::{
-    Lane, LanePool, OccupancyRing, SlotPool, MAX_DENSE_SPAN, MAX_OVERFLOW_TRACKED, NUM_POOL_LANES,
+    Lane, LaneCounters, LanePool, OccupancyRing, SlotPool, MAX_DENSE_SPAN, MAX_OVERFLOW_TRACKED,
+    NUM_POOL_LANES,
 };
 pub use stats::{
     gmean, ContextStats, EoleStats, SimStats, VpStats, WrongPathStats, MAX_SIM_CONTEXTS,

@@ -36,7 +36,7 @@
 use crate::branch::{BranchPredictorUnit, TageConfig};
 use crate::cache::MemoryHierarchy;
 use crate::config::PipelineConfig;
-use crate::resources::{Lane, LanePool, OccupancyRing, NUM_POOL_LANES};
+use crate::resources::{Lane, LaneCounters, LanePool, OccupancyRing, NUM_POOL_LANES};
 use crate::stats::{SimStats, MAX_SIM_CONTEXTS};
 use crate::vp_iface::{PredictCtx, SquashCause, SquashInfo, ValuePredictor};
 use bebop_isa::{
@@ -193,7 +193,7 @@ pub struct Pipeline {
 
     // All per-cycle bandwidth resources (rename, issue, the functional-unit
     // classes, EOLE early/late, commit) as lanes of one generation-counted
-    // structure-of-arrays pool.
+    // pool, each lane windowed at its own pruning horizon.
     pool: LanePool,
 
     // Finite structures.
@@ -376,6 +376,15 @@ impl Pipeline {
             self.enqueue(&uop, predictor);
         }
         self.flush_batch(predictor);
+    }
+
+    /// Deterministic event counters of the bandwidth pool, one entry per
+    /// [`Lane`] in discriminant order: overflow allocations and probe steps,
+    /// dense-window growths and compactions since the pipeline was built.
+    /// Diagnostic only — kept out of [`SimStats`], so digests and goldens
+    /// never depend on the pool's representation.
+    pub fn pool_counters(&self) -> [LaneCounters; NUM_POOL_LANES] {
+        self.pool.counters()
     }
 
     /// Committed µ-ops so far (the absolute budget consumed across every
@@ -1125,8 +1134,9 @@ impl Pipeline {
         // trails `last_commit` (commit floors are monotone), and — without
         // wrong-path execution, whose burst µ-ops allocate near the *fetch*
         // frontier — the issue/FU/late lanes trail the ROB's oldest
-        // outstanding release (every dispatch is floored by it). Those lane
-        // horizons are what keep the far-future overflow bounded when a
+        // outstanding release (every dispatch is floored by it). Each lane's
+        // dense window is anchored at its own horizon, so those lanes stay
+        // dense (and out of the far-future overflow) when a miss-bound or
         // perfectly-predicted phase decouples fetch far behind commit.
         //
         // Pruning is allocation-invisible, so the cadence is a free choice:

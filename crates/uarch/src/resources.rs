@@ -6,13 +6,13 @@
 //! * [`SlotPool`] — the scalar single-resource reference, one deque per
 //!   resource class. Kept as the differential-testing oracle and for
 //!   out-of-tree users.
-//! * [`LanePool`] — the structure-of-arrays pool the pipeline uses: all
-//!   resource classes live as *lanes* of one generation-counted window, so a
-//!   fetch group's worth of allocations walks one contiguous allocation
-//!   instead of eleven heap-separated deques, and pruning advances one shared
-//!   horizon.
+//! * [`LanePool`] — the pool the pipeline uses: all resource classes as
+//!   *lanes* of one value, each lane a contiguous dense window anchored at
+//!   its own pruning horizon. A shared prune advances every lane; a per-lane
+//!   prune re-anchors one, so lanes with monotone request floors (commit,
+//!   execution) stay dense however far they run ahead of the fetch clock.
 //!
-//! Both pools bound their bookkeeping: the dense window never grows past
+//! Both pools bound their bookkeeping: a dense window never grows past
 //! [`MAX_DENSE_SPAN`] cycles, far-future allocations (a pathological latency
 //! sum would previously balloon the dense deque unboundedly) spill into an
 //! exact sparse overflow, and restore rejects payloads claiming absurd
@@ -283,7 +283,7 @@ impl SlotPool {
 
 /// The resource classes sharing one [`LanePool`]. Each lane is an independent
 /// per-cycle bandwidth budget; the enum's discriminants index the pool's
-/// cycle-major storage and fix the checkpoint serialisation order.
+/// lane windows and fix the checkpoint serialisation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
     /// Rename/decode slots (front-end width).
@@ -347,46 +347,287 @@ impl Lane {
     }
 }
 
-/// How many dead (pruned) rows the dense storage tolerates before compacting.
-/// Compaction copies the live window to the front, so amortised prune cost
-/// stays O(1) per pruned cycle while the storage never holds more than
-/// `max(live, COMPACT_SLACK)` dead rows.
+/// Rows a lane's dense window grows by when an allocation lands past its
+/// materialized end (capped at [`MAX_DENSE_SPAN`]). Chunked growth keeps the
+/// hot allocate path on materialized rows: the rows past the old end are
+/// zero-filled, so the next allocations find them by the plain scan instead
+/// of taking the growth path one row at a time.
+const GROW_ROWS: usize = 512;
+
+/// How many dead (pruned) rows a lane's dense storage tolerates before
+/// compacting. Compaction copies the live window to the front, so amortised
+/// prune cost stays O(1) per pruned cycle while the storage never holds more
+/// than `max(live, COMPACT_SLACK)` dead rows.
 const COMPACT_SLACK: usize = 4096;
 
-/// All of the pipeline's per-cycle bandwidth resources merged into one
-/// structure-of-arrays pool: one shared moving horizon, one dense cycle-major
-/// `used` matrix of [`NUM_POOL_LANES`] lanes per cycle row, per-lane sparse
-/// overflow for far-future allocations, and per-lane pruning horizons for the
-/// lanes whose request streams have monotone floors (commit trails
-/// `last_commit`, the execution lanes trail the ROB's oldest release).
+/// Deterministic event counts of one [`LanePool`] lane. They are incremented
+/// on the pool's cold paths only, count events since the pool was built (they
+/// are not checkpointed), and repeat bit for bit for the same request
+/// sequence.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LaneCounters {
+    /// Allocations recorded in the sparse far-future overflow map.
+    pub overflow_bumps: u64,
+    /// Full overflow cycles stepped over while probing for a free one.
+    pub overflow_probe_steps: u64,
+    /// Times the dense window was extended.
+    pub dense_growths: u64,
+    /// Times the dead prefix of the dense storage was compacted away.
+    pub compactions: u64,
+}
+
+/// One lane of a [`LanePool`]: a dense window anchored at the lane's own
+/// pruning horizon plus the exact sparse overflow past it — the same
+/// representation as a [`SlotPool`], with a dead prefix compacted lazily.
+#[derive(Debug, Clone)]
+struct LaneWindow {
+    /// Slots available per cycle.
+    width: u16,
+    /// The lane's horizon and first live cycle: `used[head]` holds its count.
+    base: u64,
+    /// Dead rows at the front of `used` awaiting compaction.
+    head: usize,
+    /// Dense per-cycle counts: cycle `c` lives at `used[head + (c - base)]`.
+    /// Never more than [`MAX_DENSE_SPAN`] live rows.
+    used: Vec<u16>,
+    /// Exact overflow for cycles at least [`MAX_DENSE_SPAN`] past `base`:
+    /// cycle → used count. Only a pathological latency sum reaches it.
+    far: BTreeMap<u64, u16>,
+    counters: LaneCounters,
+}
+
+impl LaneWindow {
+    fn new(width: u16) -> Self {
+        LaneWindow {
+            width,
+            base: 0,
+            head: 0,
+            used: Vec::new(),
+            far: BTreeMap::new(),
+            counters: LaneCounters::default(),
+        }
+    }
+
+    /// Live dense rows (cycles) currently stored.
+    fn live_rows(&self) -> usize {
+        self.used.len() - self.head
+    }
+
+    /// Allocates one slot at the earliest free cycle `>= cycle`.
+    #[inline]
+    fn allocate(&mut self, lane: Lane, cycle: u64) -> u64 {
+        let floor = cycle.max(self.base);
+        let span = floor - self.base;
+        let live = self.live_rows();
+        if span < live as u64 {
+            // Hot path: a contiguous scan over the materialized dense rows.
+            // Far coverage starts at `MAX_DENSE_SPAN` — beyond every
+            // materialized row — so the overflow map never needs consulting
+            // here.
+            let start = self.head + span as usize;
+            let width = self.width;
+            if let Some(off) = self.used[start..].iter().position(|&u| u < width) {
+                self.used[start + off] += 1;
+                return floor + off as u64;
+            }
+            return self.allocate_unmaterialized(lane, self.base + live as u64);
+        }
+        self.allocate_unmaterialized(lane, floor)
+    }
+
+    /// Allocation continuation for cycles past the materialized dense rows:
+    /// still inside the dense span they are untracked and therefore free;
+    /// past it the sparse overflow map is probed. Produces exactly the cycle
+    /// the generic [`probe`] walk would.
+    fn allocate_unmaterialized(&mut self, lane: Lane, floor: u64) -> u64 {
+        let span = floor - self.base;
+        if span < MAX_DENSE_SPAN {
+            let row = self.dense_row(span);
+            self.used[row] += 1;
+            return floor;
+        }
+        let mut c = floor;
+        while self.far.get(&c).copied().unwrap_or(0) >= self.width {
+            c += 1;
+            self.counters.overflow_probe_steps += 1;
+        }
+        *self.far.entry(c).or_insert(0) += 1;
+        self.counters.overflow_bumps += 1;
+        assert!(
+            self.far.len() <= MAX_OVERFLOW_TRACKED,
+            "resource: lane pool '{}': {} far-future cycles tracked (allocation at cycle {c}, horizon {}) — runaway latency sum or corrupt state",
+            lane.name(),
+            self.far.len(),
+            self.base
+        );
+        c
+    }
+
+    /// Index into `used` of the row `span` cycles past `base`, growing the
+    /// window by at least [`GROW_ROWS`] rows (capped at [`MAX_DENSE_SPAN`])
+    /// when it is not materialized yet. Callers guarantee
+    /// `span < MAX_DENSE_SPAN`.
+    fn dense_row(&mut self, span: u64) -> usize {
+        let row = self.head + span as usize;
+        if row >= self.used.len() {
+            let live = (span as usize + 1)
+                .max(self.live_rows() + GROW_ROWS)
+                .min(MAX_DENSE_SPAN as usize);
+            self.used.resize(self.head + live, 0);
+            self.counters.dense_growths += 1;
+        }
+        row
+    }
+
+    /// Raises the lane's horizon to `cycle`: rows below it are dropped,
+    /// overflow entries the advanced window now covers migrate into it, and
+    /// a dominating dead prefix is compacted away.
+    fn prune_below(&mut self, cycle: u64) {
+        if cycle <= self.base {
+            return;
+        }
+        let advance = (cycle - self.base).min(self.live_rows() as u64) as usize;
+        self.head += advance;
+        self.base = cycle;
+        // Migrate far entries that the advanced horizon pulled inside the
+        // dense window, so dense and far coverage stay disjoint and exact;
+        // entries below the horizon are dropped like any pruned cycle.
+        if !self.far.is_empty() {
+            let dense_end = self.base.saturating_add(MAX_DENSE_SPAN);
+            while let Some((&c, &u)) = self.far.first_key_value() {
+                if c >= dense_end {
+                    break;
+                }
+                self.far.pop_first();
+                if c < self.base {
+                    continue;
+                }
+                let row = self.dense_row(c - self.base);
+                self.used[row] = u;
+            }
+        }
+        // Compact once the dead prefix dominates: amortised O(1) per pruned
+        // cycle, bounded dead space.
+        if self.head >= self.live_rows().max(COMPACT_SLACK) {
+            self.used.drain(..self.head);
+            self.head = 0;
+            self.counters.compactions += 1;
+        }
+    }
+
+    fn save_state(&self, w: &mut StateWriter) {
+        w.u64(self.base);
+        w.len_of(self.live_rows());
+        for &u in &self.used[self.head..] {
+            w.u16(u);
+        }
+        w.len_of(self.far.len());
+        for (&c, &u) in &self.far {
+            w.u64(c);
+            w.u16(u);
+        }
+    }
+
+    fn restore_state(&mut self, r: &mut StateReader) -> StateResult<()> {
+        self.base = r.u64()?;
+        let rows = r.len_of(2)?;
+        if rows as u64 > MAX_DENSE_SPAN {
+            return Err(StateError("lane pool dense span exceeds bound"));
+        }
+        self.head = 0;
+        self.used.clear();
+        self.used.reserve(rows);
+        for _ in 0..rows {
+            let u = r.u16()?;
+            if u > self.width {
+                return Err(StateError("lane pool usage exceeds lane width"));
+            }
+            self.used.push(u);
+        }
+        let n = r.len_of(10)?;
+        if n > MAX_OVERFLOW_TRACKED {
+            return Err(StateError("lane pool overflow count exceeds bound"));
+        }
+        self.far.clear();
+        let dense_end = self.base.saturating_add(MAX_DENSE_SPAN);
+        let mut prev: Option<u64> = None;
+        for _ in 0..n {
+            let c = r.u64()?;
+            let u = r.u16()?;
+            if prev.is_some_and(|p| c <= p) {
+                return Err(StateError("lane pool overflow cycles not ascending"));
+            }
+            if c < dense_end {
+                return Err(StateError("lane pool overflow cycle inside dense span"));
+            }
+            if u == 0 || u > self.width {
+                return Err(StateError("lane pool overflow usage out of range"));
+            }
+            self.far.insert(c, u);
+            prev = Some(c);
+        }
+        Ok(())
+    }
+
+    #[cfg(feature = "simcheck")]
+    fn check_conservation(&self, lane: Lane) {
+        let name = lane.name();
+        for (i, &u) in self.used[self.head..].iter().enumerate() {
+            assert!(
+                u <= self.width,
+                "simcheck: lane pool '{name}': cycle {} uses {u} of {} slots",
+                self.base + i as u64,
+                self.width
+            );
+        }
+        let dense_end = self.base.saturating_add(MAX_DENSE_SPAN);
+        for (&c, &u) in &self.far {
+            assert!(
+                u > 0 && u <= self.width,
+                "simcheck: lane pool '{name}': far cycle {c} uses {u} of {} slots",
+                self.width
+            );
+            assert!(
+                c >= dense_end,
+                "simcheck: lane pool '{name}': far cycle {c} lies inside the dense span ending at {dense_end}"
+            );
+        }
+        assert!(
+            self.live_rows() as u64 <= MAX_DENSE_SPAN && self.far.len() <= MAX_OVERFLOW_TRACKED,
+            "simcheck: lane pool '{name}': tracked window ({} dense + {} far) exceeds growth bounds",
+            self.live_rows(),
+            self.far.len()
+        );
+        assert!(
+            self.head < self.live_rows().max(COMPACT_SLACK),
+            "simcheck: lane pool '{name}': {} dead rows exceed the compaction slack",
+            self.head
+        );
+    }
+}
+
+/// All of the pipeline's per-cycle bandwidth resources in one pool: one
+/// [`Lane`] per resource class, each with its own dense window anchored at
+/// its own pruning horizon and its own sparse overflow for far-future
+/// allocations. [`LanePool::prune_below`] advances every lane;
+/// [`LanePool::prune_lane_below`] advances one — the lanes whose request
+/// streams have monotone floors trail them (commit trails `last_commit`, the
+/// execution lanes trail the ROB's oldest release), so their windows stay
+/// dense even when commit runs far ahead of the decoupled fetch clock.
 ///
-/// The *generation* counts prune operations: it stamps every checkpoint
-/// payload, and a restored pool resumes with the same window and generation a
-/// continuous run would carry, so window-shape divergence after resume is
-/// detectable rather than silent.
+/// The *generation* counts [`LanePool::prune_below`] operations: it stamps
+/// every checkpoint payload, and a restored pool resumes with the same
+/// windows and generation a continuous run would carry, so window-shape
+/// divergence after resume is detectable rather than silent.
 ///
 /// Allocation semantics are identical to one [`SlotPool`] per lane — the
 /// differential property tests in `tests/integration_properties.rs` assert
 /// exactly that, allocation for allocation.
 #[derive(Debug, Clone)]
 pub struct LanePool {
-    /// Per-lane slots available per cycle.
-    widths: [u16; NUM_POOL_LANES],
-    /// First live cycle: `used` row `head` holds this cycle's counts.
-    base: u64,
-    /// Dead rows at the front of `used` awaiting compaction.
-    head: usize,
-    /// Cycle-major dense counts: row `head + (c - base)`, lane-indexed within
-    /// the row. Length is always a multiple of [`NUM_POOL_LANES`].
-    used: Vec<u16>,
-    /// Per-lane exact overflow for cycles at least [`MAX_DENSE_SPAN`] past
-    /// `base`. Empty in every healthy steady state.
-    far: [BTreeMap<u64, u16>; NUM_POOL_LANES],
-    /// Per-lane pruning horizon: allocations below it are clamped up, exactly
-    /// like a per-lane `prune_below`. Always `>= base` is *not* required —
-    /// the effective floor of a lane is `max(base, lane_horizon)`.
-    lane_horizon: [u64; NUM_POOL_LANES],
-    /// Number of prune operations performed (the pool's *generation*).
+    /// Per-lane windows, indexed by the [`Lane`] discriminant.
+    lanes: [LaneWindow; NUM_POOL_LANES],
+    /// Number of shared prune operations performed (the pool's *generation*).
     generation: u64,
 }
 
@@ -402,35 +643,38 @@ impl LanePool {
             "every lane of a lane pool needs at least one slot per cycle"
         );
         LanePool {
-            widths,
-            base: 0,
-            head: 0,
-            used: Vec::new(),
-            far: Default::default(),
-            lane_horizon: [0; NUM_POOL_LANES],
+            lanes: widths.map(LaneWindow::new),
             generation: 0,
         }
     }
 
     /// The per-cycle width of `lane`.
     pub fn width(&self, lane: Lane) -> u16 {
-        self.widths[lane as usize]
+        self.lanes[lane as usize].width
     }
 
-    /// Number of prune operations performed so far.
+    /// Number of shared prune operations performed so far.
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// Live dense rows (cycles) currently stored.
-    fn live_rows(&self) -> usize {
-        self.used.len() / NUM_POOL_LANES - self.head
+    /// Number of cycles `lane` currently tracks across its dense window and
+    /// its overflow (test/diagnostic aid).
+    pub fn tracked_cycles(&self, lane: Lane) -> usize {
+        let w = &self.lanes[lane as usize];
+        w.live_rows() + w.far.len()
     }
 
-    /// Number of cycles currently tracked across dense and overflow storage
+    /// Number of far-future cycles in `lane`'s sparse overflow
     /// (test/diagnostic aid).
-    pub fn tracked_cycles(&self) -> usize {
-        self.live_rows() + self.far.iter().map(BTreeMap::len).sum::<usize>()
+    pub fn overflow_cycles(&self, lane: Lane) -> usize {
+        let w = &self.lanes[lane as usize];
+        w.far.len()
+    }
+
+    /// Per-lane event counters, indexed by the [`Lane`] discriminant.
+    pub fn counters(&self) -> [LaneCounters; NUM_POOL_LANES] {
+        std::array::from_fn(|li| self.lanes[li].counters)
     }
 
     /// Allocates one `lane` slot at the earliest cycle `>= cycle`, returning
@@ -441,51 +685,9 @@ impl LanePool {
     ///
     /// Panics with a structured `resource:` reason when the lane would track
     /// more than [`MAX_OVERFLOW_TRACKED`] far-future cycles.
+    #[inline]
     pub fn allocate(&mut self, lane: Lane, cycle: u64) -> u64 {
-        let li = lane as usize;
-        let width = self.widths[li];
-        let floor = cycle.max(self.base).max(self.lane_horizon[li]);
-        let span = floor - self.base;
-        let end = self.used.len();
-        if span < (end / NUM_POOL_LANES - self.head) as u64 {
-            let mut idx = (self.head + span as usize) * NUM_POOL_LANES + li;
-            // Hot path: additive scan over the materialized dense rows. The
-            // stride keeps the index congruent to the lane, so no
-            // per-iteration multiply, and far coverage starts at
-            // `MAX_DENSE_SPAN` — beyond every materialized row — so the
-            // overflow map never needs consulting here.
-            let mut c = floor;
-            while idx < end {
-                let slot = &mut self.used[idx];
-                if *slot < width {
-                    *slot += 1;
-                    return c;
-                }
-                idx += NUM_POOL_LANES;
-                c += 1;
-            }
-            return self.allocate_unmaterialized(lane, c);
-        }
-        self.allocate_unmaterialized(lane, floor)
-    }
-
-    /// Allocation continuation for cycles past the materialized dense rows:
-    /// still inside the dense span they are untracked and therefore free;
-    /// past it the sparse overflow map is probed. Produces exactly the cycle
-    /// the generic [`probe`] walk would.
-    fn allocate_unmaterialized(&mut self, lane: Lane, floor: u64) -> u64 {
-        let li = lane as usize;
-        if floor - self.base < MAX_DENSE_SPAN {
-            self.bump(lane, floor, 1);
-            return floor;
-        }
-        let width = self.widths[li];
-        let mut c = floor;
-        while self.far[li].get(&c).copied().unwrap_or(0) >= width {
-            c += 1;
-        }
-        self.bump(lane, c, 1);
-        c
+        self.lanes[lane as usize].allocate(lane, cycle)
     }
 
     /// Allocates one `lane` slot per element of `out`, all requesting `cycle`,
@@ -494,17 +696,15 @@ impl LanePool {
     /// group's rename slots, whose width equals the front width — fills one
     /// fresh row with a single counter update.
     pub fn allocate_group(&mut self, lane: Lane, cycle: u64, out: &mut [u64]) {
-        let li = lane as usize;
-        let floor = cycle.max(self.base).max(self.lane_horizon[li]);
-        let span = floor.saturating_sub(self.base);
-        let n = u16::try_from(out.len())
-            .ok()
-            .filter(|&n| n <= self.widths[li]);
+        let w = &mut self.lanes[lane as usize];
+        let floor = cycle.max(w.base);
+        let span = floor - w.base;
+        let n = u16::try_from(out.len()).ok().filter(|&n| n <= w.width);
         if let Some(n) = n {
             if span < MAX_DENSE_SPAN {
-                let row = self.dense_row(span);
-                let slot = &mut self.used[row * NUM_POOL_LANES + li];
-                if *slot + n <= self.widths[li] {
+                let row = w.dense_row(span);
+                let slot = &mut w.used[row];
+                if *slot + n <= w.width {
                     *slot += n;
                     out.fill(floor);
                     return;
@@ -512,182 +712,58 @@ impl LanePool {
             }
         }
         for o in out.iter_mut() {
-            *o = self.allocate(lane, cycle);
+            *o = w.allocate(lane, cycle);
         }
     }
 
-    /// Dense row index for `span`, growing the matrix as needed. Callers
-    /// guarantee `span < MAX_DENSE_SPAN`.
-    fn dense_row(&mut self, span: u64) -> usize {
-        let row = self.head + span as usize;
-        let need = (row + 1) * NUM_POOL_LANES;
-        if need > self.used.len() {
-            self.used.resize(need, 0);
-        }
-        row
-    }
-
-    /// Records `n` allocations of `lane` at cycle `c` (dense or far).
-    fn bump(&mut self, lane: Lane, c: u64, n: u16) {
-        let li = lane as usize;
-        let span = c - self.base;
-        if span < MAX_DENSE_SPAN {
-            let row = self.dense_row(span);
-            self.used[row * NUM_POOL_LANES + li] += n;
-        } else {
-            *self.far[li].entry(c).or_insert(0) += n;
-            assert!(
-                self.far[li].len() <= MAX_OVERFLOW_TRACKED,
-                "resource: lane pool '{}': {} far-future cycles tracked (allocation at cycle {c}, horizon {}) — runaway latency sum or corrupt state",
-                lane.name(),
-                self.far[li].len(),
-                self.base
-            );
-        }
-    }
-
-    /// Drops bookkeeping for all cycles strictly below `cycle` in every lane.
-    /// Future allocations below `cycle` are clamped up to it. Bumps the
-    /// generation.
+    /// Drops bookkeeping for all cycles strictly below `cycle` in every lane
+    /// whose horizon is lower. Future allocations below `cycle` are clamped
+    /// up to it. Bumps the generation.
     pub fn prune_below(&mut self, cycle: u64) {
         self.generation += 1;
-        if cycle <= self.base {
-            return;
-        }
-        let live = self.live_rows() as u64;
-        let advance = (cycle - self.base).min(live) as usize;
-        self.head += advance;
-        self.base = cycle;
-        // Migrate far entries that the advanced horizon pulled inside the
-        // dense window, so dense and far coverage stay disjoint and exact.
-        let dense_end = self.base.saturating_add(MAX_DENSE_SPAN);
-        for li in 0..NUM_POOL_LANES {
-            if self.far[li].is_empty() {
-                continue;
-            }
-            while let Some((&c, &u)) = self.far[li].first_key_value() {
-                if c >= dense_end {
-                    break;
-                }
-                self.far[li].pop_first();
-                if c < self.base {
-                    continue;
-                }
-                let row = self.dense_row(c - self.base);
-                self.used[row * NUM_POOL_LANES + li] = u;
-            }
-        }
-        // Compact once the dead prefix dominates: amortised O(1) per pruned
-        // cycle, bounded dead space.
-        if self.head >= self.live_rows().max(COMPACT_SLACK) {
-            self.used.drain(..self.head * NUM_POOL_LANES);
-            self.head = 0;
+        for w in &mut self.lanes {
+            w.prune_below(cycle);
         }
     }
 
-    /// Raises one lane's pruning horizon: bookkeeping for that lane below
-    /// `cycle` is dead (dropped from the overflow, clamped in the dense
-    /// window), exactly like `SlotPool::prune_below` on the lane's reference
-    /// pool. Used for lanes whose request stream has a monotone floor — the
-    /// commit lane never requests below `last_commit`, the execution lanes
-    /// never below the ROB's oldest outstanding release — so their far-future
-    /// clusters stay bounded even when fetch decouples far behind commit.
+    /// Raises one lane's pruning horizon to `cycle`, exactly like
+    /// `SlotPool::prune_below` on the lane's reference pool: its dense window
+    /// re-anchors there and its bookkeeping below `cycle` is dropped. Used
+    /// for lanes whose request stream has a monotone floor — the commit lane
+    /// never requests below `last_commit`, the execution lanes never below
+    /// the ROB's oldest outstanding release — so their windows stay dense
+    /// even when fetch decouples far behind commit.
     pub fn prune_lane_below(&mut self, lane: Lane, cycle: u64) {
-        let li = lane as usize;
-        if cycle <= self.lane_horizon[li] {
-            return;
-        }
-        self.lane_horizon[li] = cycle;
-        while let Some((&c, _)) = self.far[li].first_key_value() {
-            if c >= cycle {
-                break;
-            }
-            self.far[li].pop_first();
-        }
+        self.lanes[lane as usize].prune_below(cycle);
     }
 
-    /// Serialises the pool's window, horizons, generation and usage counts
-    /// for checkpointing.
+    /// Serialises the pool's generation and every lane's horizon, dense
+    /// window and overflow for checkpointing.
     pub fn save_state(&self, w: &mut StateWriter) {
-        w.u64(self.base);
         w.u64(self.generation);
-        for &h in &self.lane_horizon {
-            w.u64(h);
-        }
-        let live = self.live_rows();
-        w.len_of(live);
-        let start = self.head * NUM_POOL_LANES;
-        for &u in &self.used[start..] {
-            w.u16(u);
-        }
-        for far in &self.far {
-            w.len_of(far.len());
-            for (&c, &u) in far {
-                w.u64(c);
-                w.u16(u);
-            }
+        for lane in &self.lanes {
+            lane.save_state(w);
         }
     }
 
     /// Restores state saved by [`LanePool::save_state`] onto a freshly built
-    /// pool of identical widths. Rejects corrupt payloads: usage beyond a
-    /// lane's width, dense windows beyond [`MAX_DENSE_SPAN`], overflow counts
-    /// beyond [`MAX_OVERFLOW_TRACKED`], or overflow cycles that belong in the
-    /// dense window.
+    /// pool of identical widths. Rejects corrupt payloads lane by lane: usage
+    /// beyond the lane's width, dense windows beyond [`MAX_DENSE_SPAN`],
+    /// overflow counts beyond [`MAX_OVERFLOW_TRACKED`], or overflow cycles
+    /// that are not ascending or belong in the dense window.
     pub fn restore_state(&mut self, r: &mut StateReader) -> StateResult<()> {
-        self.base = r.u64()?;
         self.generation = r.u64()?;
-        for h in self.lane_horizon.iter_mut() {
-            *h = r.u64()?;
-        }
-        let rows = r.len_of(2 * NUM_POOL_LANES)?;
-        if rows as u64 > MAX_DENSE_SPAN {
-            return Err(StateError("lane pool dense span exceeds bound"));
-        }
-        self.head = 0;
-        self.used.clear();
-        self.used.reserve(rows * NUM_POOL_LANES);
-        for _ in 0..rows {
-            for li in 0..NUM_POOL_LANES {
-                let u = r.u16()?;
-                if u > self.widths[li] {
-                    return Err(StateError("lane pool usage exceeds lane width"));
-                }
-                self.used.push(u);
-            }
-        }
-        let dense_end = self.base.saturating_add(MAX_DENSE_SPAN);
-        for li in 0..NUM_POOL_LANES {
-            let n = r.len_of(10)?;
-            if n > MAX_OVERFLOW_TRACKED {
-                return Err(StateError("lane pool overflow count exceeds bound"));
-            }
-            self.far[li].clear();
-            let mut prev: Option<u64> = None;
-            for _ in 0..n {
-                let c = r.u64()?;
-                let u = r.u16()?;
-                if prev.is_some_and(|p| c <= p) {
-                    return Err(StateError("lane pool overflow cycles not ascending"));
-                }
-                if c < dense_end {
-                    return Err(StateError("lane pool overflow cycle inside dense span"));
-                }
-                if u == 0 || u > self.widths[li] {
-                    return Err(StateError("lane pool overflow usage out of range"));
-                }
-                self.far[li].insert(c, u);
-                prev = Some(c);
-            }
+        for lane in &mut self.lanes {
+            lane.restore_state(r)?;
         }
         Ok(())
     }
 
     /// Validates the pool's conservation invariant lane by lane — no cycle may
-    /// consume more slots than its lane's width — and that the tracked window
-    /// respects the growth bounds ([`MAX_DENSE_SPAN`] dense rows,
-    /// [`MAX_OVERFLOW_TRACKED`] overflow entries per lane, dead prefix within
-    /// compaction slack).
+    /// consume more slots than its lane's width, overflow cycles lie past the
+    /// lane's dense span — and that every lane's window respects the growth
+    /// bounds ([`MAX_DENSE_SPAN`] dense rows, [`MAX_OVERFLOW_TRACKED`]
+    /// overflow entries, dead prefix within the compaction slack).
     ///
     /// # Panics
     ///
@@ -695,38 +771,9 @@ impl LanePool {
     /// under the `simcheck` feature.
     #[cfg(feature = "simcheck")]
     pub fn check_conservation(&self) {
-        let start = self.head * NUM_POOL_LANES;
-        for (i, &u) in self.used[start..].iter().enumerate() {
-            let li = i % NUM_POOL_LANES;
-            assert!(
-                u <= self.widths[li],
-                "simcheck: lane pool '{}': cycle {} uses {u} of {} slots",
-                Lane::ALL[li].name(),
-                self.base + (i / NUM_POOL_LANES) as u64,
-                self.widths[li]
-            );
+        for (lane, w) in Lane::ALL.iter().zip(&self.lanes) {
+            w.check_conservation(*lane);
         }
-        for (li, far) in self.far.iter().enumerate() {
-            for (&c, &u) in far {
-                assert!(
-                    u > 0 && u <= self.widths[li],
-                    "simcheck: lane pool '{}': far cycle {c} uses {u} of {} slots",
-                    Lane::ALL[li].name(),
-                    self.widths[li]
-                );
-            }
-            assert!(
-                far.len() <= MAX_OVERFLOW_TRACKED,
-                "simcheck: lane pool '{}': {} far-future cycles exceed the growth bound",
-                Lane::ALL[li].name(),
-                far.len()
-            );
-        }
-        assert!(
-            self.live_rows() as u64 <= MAX_DENSE_SPAN,
-            "simcheck: lane pool: {} dense rows exceed the growth bound",
-            self.live_rows()
-        );
     }
 }
 
@@ -966,6 +1013,14 @@ mod tests {
         [8, 6, 4, 1, 2, 2, 2, 1, 8, 8, 8]
     }
 
+    /// Runs the per-lane conservation checks when `simcheck` compiles them in.
+    fn check(p: &LanePool) {
+        #[cfg(feature = "simcheck")]
+        p.check_conservation();
+        #[cfg(not(feature = "simcheck"))]
+        let _ = p;
+    }
+
     #[test]
     fn lane_pool_matches_slot_pool_per_lane() {
         let mut lp = LanePool::new(widths());
@@ -992,6 +1047,7 @@ mod tests {
                 lp.prune_lane_below(Lane::Commit, c + 50);
                 refs[Lane::Commit as usize].prune_below(c + 50);
             }
+            check(&lp);
         }
     }
 
@@ -1034,8 +1090,12 @@ mod tests {
         let bytes = w.finish();
         let mut q = LanePool::new(widths());
         q.restore_state(&mut StateReader::new(&bytes)).unwrap();
+        check(&q);
         assert_eq!(q.generation(), p.generation());
-        assert_eq!(q.tracked_cycles(), p.tracked_cycles());
+        for lane in Lane::ALL {
+            assert_eq!(q.tracked_cycles(lane), p.tracked_cycles(lane));
+        }
+        assert_eq!(q.overflow_cycles(Lane::Commit), 1);
         // Identical future behaviour.
         for i in 0..200u64 {
             let lane = Lane::ALL[(i % 11) as usize];
@@ -1045,16 +1105,118 @@ mod tests {
 
     #[test]
     fn lane_pool_restore_rejects_absurd_horizons() {
-        let mut w = StateWriter::new();
-        w.u64(0); // base
-        w.u64(0); // generation
-        for _ in 0..NUM_POOL_LANES {
-            w.u64(0); // lane horizons
+        // Every lane before `bad` restores an empty window at horizon 1000;
+        // `bad` carries the corrupt payload written by `corrupt`.
+        fn payload(bad: Lane, corrupt: impl Fn(&mut StateWriter)) -> Vec<u8> {
+            let mut w = StateWriter::new();
+            w.u64(0); // generation
+            for lane in Lane::ALL {
+                if lane == bad {
+                    corrupt(&mut w);
+                    break;
+                }
+                w.u64(1000); // horizon
+                w.len_of(0); // dense rows
+                w.len_of(0); // overflow entries
+            }
+            w.finish()
         }
-        w.len_of(MAX_DENSE_SPAN as usize + 1);
-        let bytes = w.finish();
-        let mut p = LanePool::new(widths());
-        assert!(p.restore_state(&mut StateReader::new(&bytes)).is_err());
+        let rejects = |bytes: Vec<u8>| {
+            let mut p = LanePool::new(widths());
+            p.restore_state(&mut StateReader::new(&bytes)).is_err()
+        };
+        for lane in [Lane::Rename, Lane::Load, Lane::Commit] {
+            let width = widths()[lane as usize];
+            // Dense span beyond the bound.
+            assert!(rejects(payload(lane, |w| {
+                w.u64(0);
+                w.len_of(MAX_DENSE_SPAN as usize + 1);
+            })));
+            // Usage beyond the lane's width.
+            assert!(rejects(payload(lane, |w| {
+                w.u64(0);
+                w.len_of(1);
+                w.u16(width + 1);
+            })));
+            // Overflow cycle inside the lane's own dense span.
+            assert!(rejects(payload(lane, |w| {
+                w.u64(5000);
+                w.len_of(0);
+                w.len_of(1);
+                w.u64(5000 + MAX_DENSE_SPAN - 1);
+                w.u16(1);
+            })));
+            // Overflow cycles out of order.
+            assert!(rejects(payload(lane, |w| {
+                w.u64(0);
+                w.len_of(0);
+                w.len_of(2);
+                w.u64(3 * MAX_DENSE_SPAN);
+                w.u16(1);
+                w.u64(2 * MAX_DENSE_SPAN);
+                w.u16(1);
+            })));
+            // Overflow count beyond the bound.
+            assert!(rejects(payload(lane, |w| {
+                w.u64(0);
+                w.len_of(0);
+                w.len_of(MAX_OVERFLOW_TRACKED + 1);
+            })));
+        }
+    }
+
+    #[test]
+    fn lane_pool_lane_runs_ahead_of_the_shared_prune_without_spilling() {
+        // The commit lane's horizon and requests run many dense spans past
+        // the shared prune (fetch decoupled far behind commit): anchored at
+        // its own horizon, the lane stays dense and exact.
+        let mut lp = LanePool::new(widths());
+        let mut r = SlotPool::new(widths()[Lane::Commit as usize]);
+        let ahead = 5 * MAX_DENSE_SPAN;
+        for step in 0..3000u64 {
+            let h = ahead + step * 40;
+            if step % 50 == 0 {
+                lp.prune_below(step);
+                r.prune_below(step);
+                lp.prune_lane_below(Lane::Commit, h);
+                r.prune_below(h);
+            }
+            let req = h + (step * 7) % 300;
+            assert_eq!(
+                lp.allocate(Lane::Commit, req),
+                r.allocate(req),
+                "step {step}"
+            );
+            assert_eq!(lp.allocate(Lane::Rename, step), step);
+            check(&lp);
+        }
+        assert_eq!(lp.overflow_cycles(Lane::Commit), 0);
+        let c = lp.counters()[Lane::Commit as usize];
+        assert_eq!((c.overflow_bumps, c.overflow_probe_steps), (0, 0));
+        assert!(c.dense_growths > 0 && c.compactions > 0, "{c:?}");
+        assert!(lp.tracked_cycles(Lane::Commit) as u64 <= MAX_DENSE_SPAN);
+    }
+
+    #[test]
+    fn lane_pool_dense_growth_is_chunked_and_bounded() {
+        let mut lp = LanePool::new(widths());
+        // One allocation materialises a whole chunk, and the following
+        // allocations inside it need no further growth.
+        for c in 0..GROW_ROWS as u64 {
+            lp.allocate(Lane::Alu, c);
+        }
+        assert_eq!(lp.tracked_cycles(Lane::Alu), GROW_ROWS);
+        assert_eq!(lp.counters()[Lane::Alu as usize].dense_growths, 1);
+        // Growth towards the span bound stops at it; past it is overflow.
+        lp.allocate(Lane::Alu, MAX_DENSE_SPAN - 1);
+        assert_eq!(lp.tracked_cycles(Lane::Alu) as u64, MAX_DENSE_SPAN);
+        lp.allocate(Lane::Alu, MAX_DENSE_SPAN);
+        assert_eq!(lp.tracked_cycles(Lane::Alu) as u64, MAX_DENSE_SPAN + 1);
+        let c = lp.counters()[Lane::Alu as usize];
+        assert_eq!((c.dense_growths, c.overflow_bumps), (2, 1));
+        check(&lp);
+        // The other lanes never materialised anything.
+        assert_eq!(lp.tracked_cycles(Lane::Commit), 0);
     }
 
     #[test]

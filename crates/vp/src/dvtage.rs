@@ -292,7 +292,6 @@ impl DVtage {
 
     fn train_with(&mut self, info: Inflight, key: u64, actual: u64) {
         self.updates += 1;
-        let fpc = self.cfg.fpc.clone();
         let lvt_tag = self.lvt_tag(key);
 
         // Last Value Table: retire the actual value, unwind one speculative instance.
@@ -339,7 +338,7 @@ impl DVtage {
                     .unwrap_or(false);
                 let e = &mut self.tagged[c][i];
                 if correct {
-                    e.conf.on_correct(&fpc, &mut self.rng);
+                    e.conf.on_correct(&self.cfg.fpc, &mut self.rng);
                     if !alt_would_match {
                         e.useful = true;
                     }
@@ -354,7 +353,7 @@ impl DVtage {
             None => {
                 let e = &mut self.vt0[info.base_index];
                 if correct {
-                    e.conf.on_correct(&fpc, &mut self.rng);
+                    e.conf.on_correct(&self.cfg.fpc, &mut self.rng);
                 } else {
                     e.conf.on_wrong();
                     if let Some(s) = observed_stride {
@@ -368,16 +367,21 @@ impl DVtage {
         if !correct && info.lvt_hit {
             let start = info.provider.map(|(c, _)| c + 1).unwrap_or(0);
             if start < self.cfg.num_tagged {
-                let candidates: Vec<usize> = (start..self.cfg.num_tagged)
-                    .filter(|&c| !self.tagged[c][info.slots[c].0].useful)
-                    .collect();
-                if candidates.is_empty() {
+                let mut candidates = [0usize; MAX_TAGGED];
+                let mut num_candidates = 0usize;
+                for c in start..self.cfg.num_tagged {
+                    if !self.tagged[c][info.slots[c].0].useful {
+                        candidates[num_candidates] = c;
+                        num_candidates += 1;
+                    }
+                }
+                if num_candidates == 0 {
                     for c in start..self.cfg.num_tagged {
                         self.tagged[c][info.slots[c].0].useful = false;
                     }
                 } else {
-                    // CAST: the modulo bounds pick below candidates.len().
-                    let pick = (self.rng.next() as usize) % candidates.len().min(2);
+                    // CAST: the modulo bounds pick below num_candidates.
+                    let pick = (self.rng.next() as usize) % num_candidates.min(2);
                     let comp = candidates[pick];
                     let (idx, tag) = info.slots[comp];
                     self.tagged[comp][idx] = TaggedEntry {

@@ -209,7 +209,6 @@ impl Vtage {
 
     fn train_with(&mut self, info: Inflight, actual: u64) {
         self.updates += 1;
-        let fpc = self.cfg.fpc.clone();
         let correct = info.prediction == actual;
 
         match info.provider {
@@ -217,7 +216,7 @@ impl Vtage {
                 let alt_matches = info.alt_prediction == actual;
                 let e = &mut self.tagged[c][i];
                 if correct {
-                    e.conf.on_correct(&fpc, &mut self.rng);
+                    e.conf.on_correct(&self.cfg.fpc, &mut self.rng);
                     if !alt_matches {
                         e.useful = true;
                     }
@@ -230,7 +229,7 @@ impl Vtage {
             None => {
                 let e = &mut self.base[info.base_index];
                 if correct {
-                    e.conf.on_correct(&fpc, &mut self.rng);
+                    e.conf.on_correct(&self.cfg.fpc, &mut self.rng);
                 } else {
                     e.conf.on_wrong();
                 }
@@ -242,16 +241,21 @@ impl Vtage {
         if !correct {
             let start = info.provider.map(|(c, _)| c + 1).unwrap_or(0);
             if start < self.cfg.num_tagged {
-                let candidates: Vec<usize> = (start..self.cfg.num_tagged)
-                    .filter(|&c| !self.tagged[c][info.slots[c].0].useful)
-                    .collect();
-                if candidates.is_empty() {
+                let mut candidates = [0usize; MAX_TAGGED];
+                let mut num_candidates = 0usize;
+                for c in start..self.cfg.num_tagged {
+                    if !self.tagged[c][info.slots[c].0].useful {
+                        candidates[num_candidates] = c;
+                        num_candidates += 1;
+                    }
+                }
+                if num_candidates == 0 {
                     for c in start..self.cfg.num_tagged {
                         self.tagged[c][info.slots[c].0].useful = false;
                     }
                 } else {
-                    // CAST: the modulo bounds pick below candidates.len().
-                    let pick = (self.rng.next() as usize) % candidates.len().min(2);
+                    // CAST: the modulo bounds pick below num_candidates.
+                    let pick = (self.rng.next() as usize) % num_candidates.min(2);
                     let comp = candidates[pick];
                     let (idx, tag) = info.slots[comp];
                     self.tagged[comp][idx] = TaggedEntry {

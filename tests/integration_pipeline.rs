@@ -3,7 +3,7 @@
 
 use bebop::{configs, PredictorKind, Run, SimStats, UopSource};
 use bebop_trace::{spec_benchmark, WorkloadSpec};
-use bebop_uarch::PipelineConfig;
+use bebop_uarch::{Lane, Pipeline, PipelineConfig};
 
 // Long enough for forward-probabilistic confidence (~130 correct predictions per
 // entry) to saturate, so realistic predictors are out of their warm-up phase.
@@ -167,5 +167,34 @@ fn all_36_benchmarks_run_under_the_headline_configuration() {
         );
         assert_eq!(stats.uops, 5_000, "{} did not complete", spec.name);
         assert!(stats.uop_ipc() > 0.0 && stats.uop_ipc() <= 8.0);
+    }
+}
+
+/// The miss-bound slow cluster runs commit far ahead of the decoupled fetch
+/// clock — more than the pool's dense span on libquantum, equake and soplex.
+/// Windowed at their own horizons, the commit and execution lanes must still
+/// never spill an allocation into the sparse overflow.
+#[test]
+fn miss_bound_benchmarks_never_spill_into_the_pool_overflow() {
+    let cfg = PipelineConfig::baseline_6_60();
+    for name in ["462.libquantum", "183.equake", "450.soplex"] {
+        let spec = spec_benchmark(name);
+        let mut pipe = Pipeline::new(cfg.clone());
+        let mut predictor = PredictorKind::None.build();
+        pipe.run_segment(
+            &mut UopSource::Live(&spec).stream(),
+            &mut predictor,
+            200_000,
+            &mut 0,
+        );
+        assert_eq!(pipe.committed_uops(), 200_000, "{name}");
+        for (lane, c) in Lane::ALL.iter().zip(pipe.pool_counters()) {
+            assert_eq!(
+                (c.overflow_bumps, c.overflow_probe_steps),
+                (0, 0),
+                "{name}: lane {} went through the overflow map",
+                lane.name()
+            );
+        }
     }
 }

@@ -154,7 +154,10 @@ fn prop_slot_pool_width() {
 /// cycles, far-future spikes (exercising the sparse overflow and its
 /// prune-time migration back into the dense window), shared prunes and
 /// per-lane horizon prunes; every case also snapshots the lane pool mid-way
-/// and checks the restored copy stays in lockstep.
+/// and checks the restored copy stays in lockstep. One drifting lane per case
+/// runs its requests and horizon more than `MAX_DENSE_SPAN` ahead of the
+/// shared prune — commit racing ahead of a decoupled fetch clock — and, being
+/// windowed at its own horizon, must never touch its overflow map.
 #[test]
 fn prop_lane_pool_matches_slot_pool_bank() {
     for case in 0..CASES {
@@ -165,14 +168,29 @@ fn prop_lane_pool_matches_slot_pool_bank() {
         let n = r.gen_range(1usize..300);
         let mut horizon = 0u64;
         let mut restored: Option<LanePool> = None;
+        let drift = Lane::ALL[r.gen_range(0usize..NUM_POOL_LANES)];
+        let mut drift_horizon = MAX_DENSE_SPAN + r.gen_range(1u64..MAX_DENSE_SPAN);
+        pool.prune_lane_below(drift, drift_horizon);
+        bank[drift as usize].prune_below(drift_horizon);
         for step in 0..n {
             let lane = Lane::ALL[r.gen_range(0usize..NUM_POOL_LANES)];
+            if lane == drift && r.gen_range(0u32..4) == 0 {
+                drift_horizon += r.gen_range(0u64..100);
+                pool.prune_lane_below(drift, drift_horizon);
+                if let Some(copy) = restored.as_mut() {
+                    copy.prune_lane_below(drift, drift_horizon);
+                }
+                bank[drift as usize].prune_below(drift_horizon);
+            }
             // Mostly near-window requests, occasionally a far-future spike:
             // some just past the dense span (exercising the sparse overflow
             // and its prune-time migration back into the dense window), some
             // many spans out (the unbounded-growth bug's trigger — the old
-            // pool resized its deque out to the requested cycle).
-            let req = if r.gen_range(0u32..20) == 0 {
+            // pool resized its deque out to the requested cycle). The
+            // drifting lane requests just past its own horizon instead.
+            let req = if lane == drift {
+                drift_horizon + r.gen_range(0u64..200)
+            } else if r.gen_range(0u32..20) == 0 {
                 horizon + MAX_DENSE_SPAN * r.gen_range(1u64..8) + r.gen_range(0u64..1000)
             } else {
                 horizon + r.gen_range(0u64..200)
@@ -231,13 +249,30 @@ fn prop_lane_pool_matches_slot_pool_bank() {
         // times MAX_DENSE_SPAN. Dense storage may legitimately materialise up
         // to the span bound (prune-time migration of a just-past-the-window
         // entry), but never beyond it; everything further is sparse, and the
-        // sequence holds at most one far entry per step.
+        // sequence holds at most one far entry per step. Each lane is its
+        // own window, so the bound holds lane by lane.
         let bound = MAX_DENSE_SPAN + n as u64;
-        assert!(
-            (pool.tracked_cycles() as u64) <= bound,
-            "case {case}: lane pool window grew past the dense bound ({})",
-            pool.tracked_cycles()
+        for lane in Lane::ALL {
+            assert!(
+                (pool.tracked_cycles(lane) as u64) <= bound,
+                "case {case}: lane pool lane {} grew past the dense bound ({})",
+                lane.name(),
+                pool.tracked_cycles(lane)
+            );
+        }
+        assert_eq!(
+            pool.overflow_cycles(drift),
+            0,
+            "case {case}: drifting lane {} spilled into its overflow map",
+            drift.name()
         );
+        assert_eq!(
+            pool.counters()[drift as usize].overflow_bumps,
+            0,
+            "case {case}"
+        );
+        #[cfg(feature = "simcheck")]
+        pool.check_conservation();
         for (li, p) in bank.iter().enumerate() {
             assert!(
                 (p.tracked_cycles() as u64) <= bound,
